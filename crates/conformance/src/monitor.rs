@@ -4,10 +4,12 @@
 //! beat accepted onto any of the port's five wires is delivered to the
 //! monitor exactly once, with its push cycle, regardless of component tick
 //! order, back-to-back identical payloads, or kernel fast-forward jumps
-//! (taps fill at push time, pushes only happen in executed cycles, and a
-//! fast-forward requires empty wires — so taps are always drained before a
-//! jump). The monitor never pushes, pops, or peeks a wire, so attaching it
-//! cannot perturb simulated behaviour.
+//! (taps fill at push time and keep every record until drained). The
+//! monitor never pushes, pops, or peeks a wire, so attaching it cannot
+//! perturb simulated behaviour. It is a
+//! [tap observer](axi_sim::Component::tap_observer): its state is a fold
+//! over the stamped records in push order, so the event and arena kernels
+//! drain it in bulk rather than ticking it every cycle.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -185,18 +187,15 @@ pub struct ProtocolMonitor {
     // oldest write still missing beats.
     writes: VecDeque<WriteTrack>,
     // Writes whose data completed, per ID, awaiting exactly one B each.
+    // Entries stay when their count drops to zero (zero reads as absent),
+    // so a steady stream of same-ID writes never re-inserts.
     pending_b: BTreeMap<TxnId, u32>,
     // Outstanding reads per ID, oldest first: AXI4 requires same-ID read
     // data in request order, so each R beat attaches to the oldest
     // outstanding read of its ID. Same-ID reordering by the interconnect
-    // surfaces as RLAST misplacement.
+    // surfaces as RLAST misplacement. Emptied queues stay (empty reads as
+    // absent), so the next burst of an ID reuses its allocation.
     reads: BTreeMap<TxnId, VecDeque<ReadTrack>>,
-    // Scratch drain buffers, reused across ticks to avoid reallocating.
-    aw_buf: Vec<(Cycle, AwBeat)>,
-    w_buf: Vec<(Cycle, WBeat)>,
-    b_buf: Vec<(Cycle, BBeat)>,
-    ar_buf: Vec<(Cycle, ArBeat)>,
-    r_buf: Vec<(Cycle, RBeat)>,
 }
 
 impl ProtocolMonitor {
@@ -217,11 +216,6 @@ impl ProtocolMonitor {
             writes: VecDeque::new(),
             pending_b: BTreeMap::new(),
             reads: BTreeMap::new(),
-            aw_buf: Vec::new(),
-            w_buf: Vec::new(),
-            b_buf: Vec::new(),
-            ar_buf: Vec::new(),
-            r_buf: Vec::new(),
         }
     }
 
@@ -381,11 +375,8 @@ impl ProtocolMonitor {
         if beat.resp.is_err() {
             self.counters.err_resps += 1;
         }
-        if let Some(count) = self.pending_b.get_mut(&beat.id) {
+        if let Some(count) = self.pending_b.get_mut(&beat.id).filter(|n| **n > 0) {
             *count -= 1;
-            if *count == 0 {
-                self.pending_b.remove(&beat.id);
-            }
             return;
         }
         if self.writes.iter().any(|t| t.id == beat.id) {
@@ -430,9 +421,6 @@ impl ProtocolMonitor {
         let (len, beats) = (track.len, track.beats);
         if beat.last || beats == len {
             queue.pop_front();
-            if queue.is_empty() {
-                self.reads.remove(&beat.id);
-            }
         }
         if beat.last && beats < len {
             self.record(Violation {
@@ -454,42 +442,66 @@ impl ProtocolMonitor {
     }
 }
 
+/// Push cycle of record `k` of a drained tap, or `Cycle::MAX` once the tap
+/// is exhausted (no beat is ever pushed at that cycle).
+fn head<T>(tap: &[(Cycle, T)], k: usize) -> Cycle {
+    tap.get(k).map_or(Cycle::MAX, |x| x.0)
+}
+
 impl Component for ProtocolMonitor {
     fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-        // Drain the taps, then replay in causal channel order: requests
-        // (AW, W, AR) before responses (B, R). A response can only share a
-        // drain batch with its own request, never precede it in one, so
-        // this order preserves causality.
-        ctx.pool.drain_tap(self.bundle.aw, &mut self.aw_buf);
-        ctx.pool.drain_tap(self.bundle.w, &mut self.w_buf);
-        ctx.pool.drain_tap(self.bundle.ar, &mut self.ar_buf);
-        ctx.pool.drain_tap(self.bundle.b, &mut self.b_buf);
-        ctx.pool.drain_tap(self.bundle.r, &mut self.r_buf);
-        for i in 0..self.aw_buf.len() {
-            let (cycle, beat) = self.aw_buf[i];
-            self.on_aw(cycle, beat);
+        let port = self.bundle;
+        let pool = &*ctx.pool;
+        let (aw, w, ar, b, r) = (
+            pool.tap(port.aw),
+            pool.tap(port.w),
+            pool.tap(port.ar),
+            pool.tap(port.b),
+            pool.tap(port.r),
+        );
+        // Replay the five taps as one merge by push cycle, ties in causal
+        // channel order: requests (AW, W, AR) before responses (B, R). A
+        // drain may span many cycles, and a response pushed before its
+        // request completes (or before its request exists) must be checked
+        // against the state at its own push cycle.
+        let mut next = [0usize; 5];
+        let mut heads = [head(aw, 0), head(w, 0), head(ar, 0), head(b, 0), head(r, 0)];
+        loop {
+            let cycle = heads.into_iter().min().expect("five taps");
+            if cycle == Cycle::MAX {
+                break;
+            }
+            while heads[0] == cycle {
+                self.on_aw(cycle, aw[next[0]].1);
+                next[0] += 1;
+                heads[0] = head(aw, next[0]);
+            }
+            while heads[1] == cycle {
+                self.on_w(cycle, w[next[1]].1);
+                next[1] += 1;
+                heads[1] = head(w, next[1]);
+            }
+            while heads[2] == cycle {
+                self.on_ar(cycle, ar[next[2]].1);
+                next[2] += 1;
+                heads[2] = head(ar, next[2]);
+            }
+            while heads[3] == cycle {
+                self.on_b(cycle, b[next[3]].1);
+                next[3] += 1;
+                heads[3] = head(b, next[3]);
+            }
+            while heads[4] == cycle {
+                self.on_r(cycle, r[next[4]].1);
+                next[4] += 1;
+                heads[4] = head(r, next[4]);
+            }
         }
-        for i in 0..self.w_buf.len() {
-            let (cycle, beat) = self.w_buf[i];
-            self.on_w(cycle, beat);
-        }
-        for i in 0..self.ar_buf.len() {
-            let (cycle, beat) = self.ar_buf[i];
-            self.on_ar(cycle, beat);
-        }
-        for i in 0..self.b_buf.len() {
-            let (cycle, beat) = self.b_buf[i];
-            self.on_b(cycle, beat);
-        }
-        for i in 0..self.r_buf.len() {
-            let (cycle, beat) = self.r_buf[i];
-            self.on_r(cycle, beat);
-        }
-        self.aw_buf.clear();
-        self.w_buf.clear();
-        self.b_buf.clear();
-        self.ar_buf.clear();
-        self.r_buf.clear();
+        ctx.pool.clear_tap(port.aw);
+        ctx.pool.clear_tap(port.w);
+        ctx.pool.clear_tap(port.ar);
+        ctx.pool.clear_tap(port.b);
+        ctx.pool.clear_tap(port.r);
     }
 
     fn name(&self) -> &str {
@@ -500,33 +512,11 @@ impl Component for ProtocolMonitor {
         self.bundle.observer_ports()
     }
 
-    // Purely reactive: taps only fill on pushes, and every push on an
-    // observed wire wakes this component for the same or the next cycle
-    // (same-cycle for peers ticking later, so the drain stays beat-exact).
-    // The kernel may fast-forward with beats *parked* on the wires — e.g.
-    // through an isolation window — but parked beats were pushed earlier
-    // and thus already drained; silence on the taps is exactly what `None`
-    // promises to cover.
-    fn next_event(&self, _cycle: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    // Same reasoning from the backlog side: an untaken beat parked on an
-    // observed wire never refills a tap, so queued input alone can never
-    // require a monitor tick.
-    fn backlog_event(&self, _cycle: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    // Unbounded: the monitor's state is a pure fold over stamped tap
-    // records in push order — violations and counters come out identical
-    // whether a span of ticks is replayed beat-exact or its drains land in
-    // one batch (each record carries the cycle it was pushed, and causal
-    // channel order within a drain is preserved by `tick`). An observer
-    // also never pushes or pops, so the capacity half of the horizon
-    // contract is vacuous.
-    fn batch_horizon(&self, _cycle: Cycle, _pool: &axi_sim::ChannelPool) -> u64 {
-        u64::MAX
+    // The tick only drains taps and folds the records in push-cycle order,
+    // so a span of cycles drained at once ends in exactly the state of
+    // draining it cycle by cycle.
+    fn tap_observer(&self) -> bool {
+        true
     }
 
     fn coverage(&self, map: &mut axi_sim::CoverageMap) {

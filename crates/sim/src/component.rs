@@ -45,9 +45,11 @@ pub trait Component: Any {
     /// [`Sim::run`](crate::Sim::run): each component sleeps until its hint
     /// comes due or activity touches one of its [`Component::ports`] wires
     /// — a push wakes it when the beat becomes visible (and same-cycle for
-    /// peers ticking later, so tap monitors stay beat-exact), a pop wakes
-    /// it when the freed capacity becomes usable. Cycles on which no
-    /// component is due are jumped over entirely.
+    /// peers ticking later, exactly when a stepped tick would first see
+    /// the pusher's effects), a pop wakes it when the freed capacity
+    /// becomes usable. Cycles on which no component is due are jumped over
+    /// entirely. [Tap observers](Component::tap_observer) take no part in
+    /// this: they get no wire wakes and their hints are never consulted.
     ///
     /// Return values:
     ///
@@ -102,6 +104,40 @@ pub trait Component: Any {
     /// `kernel_equivalence` tests are the safety net.
     fn backlog_event(&self, cycle: Cycle) -> Option<Cycle> {
         Some(cycle)
+    }
+
+    /// `true` if this component is a *tap-fold observer*, which lets the
+    /// event and arena kernels take it off the per-cycle schedule.
+    ///
+    /// The contract, which the component must keep exactly:
+    ///
+    /// - its tick only drains pool taps (reads [`ChannelPool::tap`], then
+    ///   [`ChannelPool::clear_tap`]s); it never pushes, pops or peeks a
+    ///   wire, and no other component (and no
+    ///   [`Sim::couple`](crate::Sim::couple) edge) reads its state;
+    /// - its state is a pure fold over the drained `(push_cycle, beat)`
+    ///   records in push-cycle order, so one tick draining a span of
+    ///   cycles leaves exactly the state per-cycle ticks over that span
+    ///   would have — `ctx.cycle` must not matter.
+    ///
+    /// The event and arena kernels then give it no wire wakes and never
+    /// visit it per cycle; its [`Component::next_event`],
+    /// [`Component::backlog_event`] and [`Component::batch_horizon`] are
+    /// not consulted. Instead they tick every tap observer in bulk when
+    /// the pool's undrained tap backlog ([`ChannelPool::tap_backlog`])
+    /// reaches a fixed threshold, and before every return from
+    /// [`Sim::run`](crate::Sim::run) and
+    /// [`Sim::run_until`](crate::Sim::run_until). Between those points a
+    /// tap observer lags the simulation, so a `run_until` predicate must
+    /// not read one. The stepping and islands kernels tick it every cycle
+    /// like any other component.
+    ///
+    /// The answer must not change over the component's lifetime. The
+    /// default `false` keeps a component on the per-cycle schedule; a
+    /// component that peeks wires (such as a trace probe sampling front
+    /// beats) must not opt in.
+    fn tap_observer(&self) -> bool {
+        false
     }
 
     /// The component's declared wire endpoints, for static topology

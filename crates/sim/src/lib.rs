@@ -59,7 +59,7 @@ pub use coverage::CoverageMap;
 pub use pool::{Channel, ChannelPool, PushRefusal, SanitizerKind, WireActivity, WireId};
 pub use sim::{
     ComponentId, ComponentProfile, ContractViolation, KernelMode, KernelStats, SanitizerViolation,
-    Sim, ViolationKind,
+    Sim, ViolationKind, TAP_DRAIN_RECORDS,
 };
 pub use topology::{PortDecl, PortDir, TopoComponent, TopoWire, Topology};
 pub use trace::{TraceChannel, TraceEvent, TracePayload, TraceProbe};

@@ -169,12 +169,9 @@ pub(crate) struct WakeTables {
     /// First flat wire index per channel slot.
     pub slot_base: [usize; CHANNEL_SLOTS],
     /// `flat_wire` → schedule positions of every endpoint (drive, consume,
-    /// observe) of the wire.
+    /// observe) of the wire. Tap observers are not among them: the kernel
+    /// drains them in bulk instead of waking them.
     pub all: Vec<u64>,
-    /// `flat_wire` → schedule positions of observe-only endpoints. Pops
-    /// never change what a tap-driven observer sees, so observers are
-    /// excluded from pop wakes.
-    pub obs: Vec<u64>,
 }
 
 /// What an access-sanitizer check caught (see
@@ -296,6 +293,9 @@ pub struct ChannelPool {
     // Beats ever accepted onto any wire, maintained incrementally so
     // activity watchers (the watchdog) read it in O(1).
     total_pushed: u64,
+    // Records sitting in tap buffers, not yet drained: the kernel drains
+    // tap observers in bulk once this reaches its threshold.
+    tap_backlog: u64,
     // Registration index of the component currently being ticked, stamped
     // by the kernel so refusals can name their culprit.
     owner: Option<usize>,
@@ -388,9 +388,14 @@ impl ChannelPool {
         let lane = T::lane_mut(self);
         let slot = lane.rings[id.index].try_push(cycle)?;
         lane.arena[slot] = Some((cycle, beat));
-        if let Some(tap) = &mut lane.taps[id.index] {
-            tap.push((cycle, beat));
-        }
+        let tapped = match &mut lane.taps[id.index] {
+            Some(tap) => {
+                tap.push((cycle, beat));
+                1
+            }
+            None => 0,
+        };
+        self.tap_backlog += tapped;
         self.in_flight += 1;
         self.total_pushed += 1;
         if self.recording {
@@ -424,17 +429,37 @@ impl ChannelPool {
     }
 
     /// Starts recording every accepted push onto `id` into its tap buffer.
-    /// The collector must drain regularly (see [`ChannelPool::drain_tap`]).
+    /// The collector must drain it regularly: read the records with
+    /// [`ChannelPool::tap`], then discard them with
+    /// [`ChannelPool::clear_tap`].
     pub fn enable_tap<T: Channel>(&mut self, id: WireId<T>) {
         T::lane_mut(self).taps[id.index].get_or_insert_with(Vec::new);
     }
 
-    /// Moves all tapped `(push_cycle, beat)` records of `id` into `out`,
-    /// oldest first. No-op on an untapped wire.
-    pub fn drain_tap<T: Channel>(&mut self, id: WireId<T>, out: &mut Vec<(Cycle, T)>) {
-        if let Some(tap) = &mut T::lane_mut(self).taps[id.index] {
-            out.append(tap);
-        }
+    /// The tapped `(push_cycle, beat)` records of `id` not yet cleared,
+    /// oldest first. Empty on an untapped wire.
+    pub fn tap<T: Channel>(&self, id: WireId<T>) -> &[(Cycle, T)] {
+        T::lane(self).taps[id.index].as_deref().unwrap_or(&[])
+    }
+
+    /// Discards the tapped records of `id`, keeping the buffer's
+    /// allocation for the next ones. No-op on an untapped wire.
+    pub fn clear_tap<T: Channel>(&mut self, id: WireId<T>) {
+        let Some(tap) = &mut T::lane_mut(self).taps[id.index] else {
+            return;
+        };
+        let drained = tap.len() as u64;
+        tap.clear();
+        self.tap_backlog -= drained;
+    }
+
+    /// Tapped records pushed but not yet cleared, across all wires (O(1)).
+    /// The event and arena kernels tick every
+    /// [tap observer](crate::Component::tap_observer) once this reaches
+    /// their bulk-drain threshold, so it stays bounded by that threshold
+    /// plus one executed cycle's (or batch window's) pushes.
+    pub fn tap_backlog(&self) -> u64 {
+        self.tap_backlog
     }
 
     /// Stamps the component whose tick is currently executing (kernel use;
@@ -477,10 +502,9 @@ impl ChannelPool {
             });
         }
         if let Some(wk) = &self.wake {
-            let flat = wk.slot_base[T::SLOT] + id.index;
-            let nonobs = wk.all[flat] & !wk.obs[flat];
-            self.wake_now |= nonobs & self.actor_later;
-            self.wake_next |= nonobs & !self.actor_later & !self.actor_bit;
+            let all = wk.all[wk.slot_base[T::SLOT] + id.index];
+            self.wake_now |= all & self.actor_later;
+            self.wake_next |= all & !self.actor_later & !self.actor_bit;
             self.wake_any = true;
             self.wake_events += 1;
         }
@@ -530,6 +554,7 @@ impl ChannelPool {
                 (&mut right[0], &mut left[lo])
             };
             let mut k = 0u64;
+            let mut tapped = 0u64;
             while k < max {
                 let cycle = start + k;
                 let Some(slot) = src.front_candidate(cycle) else {
@@ -545,10 +570,12 @@ impl ChannelPool {
                 lane.arena[dst_slot] = Some((cycle, beat));
                 if let Some(tap) = &mut lane.taps[to.index] {
                     tap.push((cycle, beat));
+                    tapped += 1;
                 }
                 k += 1;
             }
             moved = k;
+            self.tap_backlog += tapped;
         }
         if moved > 0 {
             // One pop and one push per beat: in-flight is net zero, the
@@ -570,13 +597,11 @@ impl ChannelPool {
                 }
             }
             if let Some(wk) = &self.wake {
-                let from_flat = wk.slot_base[T::SLOT] + from.index;
-                let to_flat = wk.slot_base[T::SLOT] + to.index;
-                let nonobs = wk.all[from_flat] & !wk.obs[from_flat];
-                let all = wk.all[to_flat];
-                self.wake_now |= (nonobs | all) & self.actor_later;
+                let popped = wk.all[wk.slot_base[T::SLOT] + from.index];
+                let pushed = wk.all[wk.slot_base[T::SLOT] + to.index];
+                self.wake_now |= (popped | pushed) & self.actor_later;
                 self.wake_next |=
-                    (all & !self.actor_bit) | (nonobs & !self.actor_later & !self.actor_bit);
+                    (pushed & !self.actor_bit) | (popped & !self.actor_later & !self.actor_bit);
                 self.wake_any = true;
                 self.wake_events += 2 * moved;
             }
@@ -966,12 +991,16 @@ mod tests {
         pool.enable_tap(a);
         pool.push(a, 0, WBeat::full(1, false));
         pool.push(b, 0, WBeat::full(2, false));
-        let mut out = Vec::new();
-        pool.drain_tap(a, &mut out);
-        pool.drain_tap(b, &mut out); // untapped: contributes nothing
+        assert!(pool.tap(b).is_empty()); // untapped: records nothing
+        let out = pool.tap(a);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 0);
         assert_eq!(out[0].1.data, 1);
+        assert_eq!(pool.tap_backlog(), 1);
+        pool.clear_tap(a);
+        pool.clear_tap(b);
+        assert!(pool.tap(a).is_empty());
+        assert_eq!(pool.tap_backlog(), 0);
     }
 
     #[test]
@@ -1069,9 +1098,7 @@ mod tests {
             pool.push(from, c, WBeat::full(10 + c, false));
         }
         assert_eq!(pool.batch_relay(from, to, 3, 3), 3);
-        let mut out = Vec::new();
-        pool.drain_tap(to, &mut out);
-        let cycles: Vec<Cycle> = out.iter().map(|(c, _)| *c).collect();
+        let cycles: Vec<Cycle> = pool.tap(to).iter().map(|(c, _)| *c).collect();
         assert_eq!(cycles, [3, 4, 5]);
     }
 }

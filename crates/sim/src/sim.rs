@@ -54,7 +54,10 @@ pub struct KernelStats {
     pub cycles_skipped: u64,
     /// Number of fast-forward jumps taken.
     pub fast_forwards: u64,
-    /// Individual `Component::tick` calls across all executed cycles.
+    /// Individual `Component::tick` calls across all executed cycles. The
+    /// event and arena kernels' bulk drains of tap observers belong to no
+    /// cycle and are not counted here; the self-profiler counts them as
+    /// visits (see [`Sim::profile`]).
     pub component_ticks: u64,
     /// Component-cycles elided: sleeping components during executed cycles
     /// plus every component during skipped cycles. The invariant
@@ -100,7 +103,9 @@ pub struct ComponentProfile {
     /// Wakes delivered to this component by the event kernel's bookkeeping
     /// (wire activity, couple writes, opaque broadcasts). The stepping,
     /// islands, and arena kernels keep no per-component wake list and
-    /// report 0.
+    /// report 0. [Tap observers](Component::tap_observer) are never woken:
+    /// the event and arena kernels drain them in bulk, and each bulk drain
+    /// counts as one visit.
     pub wakes: u64,
     /// Wall-clock nanoseconds spent inside this component's ticks. Always 0
     /// unless `axi-sim` is built with the `self-profile` feature — the
@@ -284,6 +289,8 @@ struct Scheduler {
     /// exact at the price of not sleeping through traffic.
     opaque: Vec<u32>,
     is_opaque: Vec<bool>,
+    /// Tap observers: off the schedule entirely, drained in bulk.
+    is_observer: Vec<bool>,
     /// Per component: dependents registered via [`Sim::couple`].
     dependents: Vec<Vec<u32>>,
     /// Dirty-set for the cycle currently being processed.
@@ -342,7 +349,7 @@ impl Scheduler {
         self.wakes[j] += 1;
         if push {
             // New beat: visible next cycle; peers ticking after the pusher
-            // also look this cycle (tap monitors drain on the push cycle).
+            // also look this cycle, as a stepped tick after it would.
             if j > actor {
                 self.mark_due(j);
             }
@@ -400,6 +407,8 @@ struct ArenaSched {
     /// Positions of opaque (port-less) components: woken by any
     /// event-bearing tick, exactly like the event kernel's opaque list.
     opaque_mask: u64,
+    /// Positions of tap observers: never due, drained in bulk.
+    observer_mask: u64,
     /// Per position: declared Consume wires as `(slot, wire)`.
     consume: Vec<Vec<(usize, usize)>>,
     /// Per position: coupled dependents, as schedule positions.
@@ -497,11 +506,22 @@ pub struct Sim {
     /// Perfetto exporter. Armed by `REALM_TRACE` at construction (or
     /// [`Sim::set_batch_window_log`]); `None` costs nothing per window.
     batch_window_log: Option<Vec<(Cycle, u64)>>,
+    /// Registration indices of the [tap observers](Component::tap_observer),
+    /// which the event and arena kernels drain in bulk instead of ticking
+    /// per cycle.
+    observers: Vec<usize>,
 }
 
 /// Retained batch-window log entries (diagnostic bound, like
 /// [`MAX_VIOLATIONS`] — a trace needs the shape, not every window).
 const MAX_WINDOW_LOG: usize = 4096;
+
+/// Undrained tap records ([`ChannelPool::tap_backlog`]) at which the event
+/// and arena kernels tick every [tap observer](Component::tap_observer) in
+/// bulk. Large enough that a bulk drain is rare next to the cycles it
+/// covers, small enough that the tap buffers (and the observers' copies of
+/// them) stay within tens of kilobytes and peak memory does not move.
+pub const TAP_DRAIN_RECORDS: u64 = 1024;
 
 use realm_telemetry::trace_from_env;
 
@@ -534,6 +554,7 @@ impl Sim {
             batch_allowed: Vec::new(),
             profile: Vec::new(),
             batch_window_log: trace_from_env().then(Vec::new),
+            observers: Vec::new(),
         }
     }
 
@@ -549,6 +570,9 @@ impl Sim {
 
     /// Registers a component; components are ticked in registration order.
     pub fn add<C: Component>(&mut self, component: C) -> ComponentId {
+        if component.tap_observer() {
+            self.observers.push(self.components.len());
+        }
         self.components.push(Box::new(component));
         self.synced_to.push(self.cycle);
         self.profile.push(ProfileEntry::default());
@@ -840,6 +864,14 @@ impl Sim {
             self.components[index].on_fast_forward(self.synced_to[index], cycle);
         }
         self.synced_to[index] = cycle + 1;
+        self.visit(index, cycle);
+    }
+
+    /// Ticks component `index` at `cycle` with the pool stamped with its
+    /// ownership, counting the visit for the self-profiler (and, under
+    /// the `self-profile` feature, its wall-time).
+    #[inline]
+    fn visit(&mut self, index: usize, cycle: Cycle) {
         self.pool.set_owner(Some(index));
         let mut ctx = TickCtx {
             cycle,
@@ -853,6 +885,20 @@ impl Sim {
         {
             self.profile[index].wall_ns += t0.elapsed().as_nanos() as u64;
         }
+    }
+
+    /// Ticks every [tap observer](Component::tap_observer) once, folding
+    /// all undrained tap records in one pass — the event and arena
+    /// kernels' replacement for per-cycle observer ticks. A no-op while
+    /// the backlog is empty, since an observer's tick only drains taps.
+    fn drain_observers(&mut self) {
+        if self.pool.tap_backlog() == 0 {
+            return;
+        }
+        for k in 0..self.observers.len() {
+            self.visit(self.observers[k], self.cycle);
+        }
+        self.pool.set_owner(None);
     }
 
     /// Recomputes the island partition if the topology changed.
@@ -970,6 +1016,11 @@ impl Sim {
     /// no predicate flank is missed, though a predicate watching
     /// [`Sim::cycle`] itself may observe a jump past its threshold. Use
     /// [`Sim::run_until_clamped`] when the predicate watches the clock.
+    ///
+    /// The predicate must not read a
+    /// [tap observer](Component::tap_observer): the event and arena
+    /// kernels drain those in bulk, so mid-run they lag the simulation.
+    /// They are exact again once `run_until` returns.
     pub fn run_until<F: FnMut(&Sim) -> bool>(&mut self, max_cycles: u64, mut done: F) -> bool {
         self.drive(max_cycles, Some(&mut done), None)
     }
@@ -1022,11 +1073,15 @@ impl Sim {
         self.prepare_run();
         let n = self.components.len() as u64;
         loop {
+            if self.pool.tap_backlog() >= TAP_DRAIN_RECORDS {
+                self.drain_observers();
+            }
             if let Some(done) = done.as_mut() {
                 // Reconcile elided ticks so the predicate observes exactly
                 // the state a stepped run would show at this cycle.
                 self.flush_all(self.cycle);
                 if done(self) {
+                    self.drain_observers();
                     return true;
                 }
             }
@@ -1055,6 +1110,7 @@ impl Sim {
             self.cycle = jump;
         }
         self.flush_all(self.cycle);
+        self.drain_observers();
         match done {
             Some(done) => done(self),
             None => false,
@@ -1091,15 +1147,17 @@ impl Sim {
             *s = NEVER;
         }
         self.sched.due_count = 0;
+        let in_flight = self.pool.total_in_flight() > 0;
         for j in 0..self.components.len() {
             self.sched.due[j] = false;
+            if self.sched.is_observer[j] {
+                continue;
+            }
             self.sched.mark_due(j);
-        }
-        // Beats pushed from outside any run (no wake recording) become
-        // visible one cycle in: give every component a look at both of the
-        // first two cycles, then let the hints take over.
-        if self.pool.total_in_flight() > 0 {
-            for j in 0..self.components.len() {
+            // Beats pushed from outside any run (no wake recording) become
+            // visible one cycle in: give every component a look at both of
+            // the first two cycles, then let the hints take over.
+            if in_flight {
                 self.sched.schedule(j, self.cycle + 1, self.cycle);
             }
         }
@@ -1119,7 +1177,12 @@ impl Sim {
         let mut consume = vec![Vec::new(); n];
         let mut opaque = Vec::new();
         let mut is_opaque = vec![false; n];
+        let mut is_observer = vec![false; n];
         for (i, component) in self.components.iter().enumerate() {
+            if component.tap_observer() {
+                is_observer[i] = true; // no wire wakes: drained in bulk
+                continue;
+            }
             let ports = component.ports();
             if ports.is_empty() {
                 opaque.push(i as u32);
@@ -1165,6 +1228,7 @@ impl Sim {
         self.sched.consume = consume;
         self.sched.opaque = opaque;
         self.sched.is_opaque = is_opaque;
+        self.sched.is_observer = is_observer;
         self.sched.dependents = dependents;
         self.sched.due = vec![false; n];
         self.sched.due_count = 0;
@@ -1239,7 +1303,7 @@ impl Sim {
     fn poll_missed_wakes(&mut self) {
         let cycle = self.cycle;
         for i in 0..self.components.len() {
-            if self.sched.due[i] {
+            if self.sched.due[i] || self.sched.is_observer[i] {
                 continue;
             }
             if let Some(hint) = self.components[i].next_event(cycle) {
@@ -1299,26 +1363,14 @@ impl Sim {
                 NEVER
             };
 
-            self.pool.set_owner(Some(i));
-            let mut ctx = TickCtx {
-                cycle,
-                pool: &mut self.pool,
-            };
-            self.profile[i].visits += 1;
-            #[cfg(feature = "self-profile")]
-            let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
-            self.components[i].tick(&mut ctx);
-            #[cfg(feature = "self-profile")]
-            {
-                self.profile[i].wall_ns += t0.elapsed().as_nanos() as u64;
-            }
+            self.visit(i, cycle);
             ticked += 1;
 
             // Wire activity → wakes. A push is visible to peers from the
             // next cycle (register per hop); peers later in tick order also
-            // get a same-cycle look so tap-draining monitors match the
-            // stepping kernel beat for beat. A pop frees capacity usable by
-            // peers from the next cycle, or this cycle for later peers.
+            // get a same-cycle look, as a stepped tick after the pusher
+            // would. A pop frees capacity usable by peers from the next
+            // cycle, or this cycle for later peers.
             self.pool.drain_events_into(&mut self.sched.events);
             let n_events = self.sched.events.len();
             if n_events > 0 {
@@ -1438,9 +1490,13 @@ impl Sim {
         self.prepare_arena_run();
         let n = self.components.len() as u64;
         loop {
+            if self.pool.tap_backlog() >= TAP_DRAIN_RECORDS {
+                self.drain_observers();
+            }
             if let Some(done) = done.as_mut() {
                 self.flush_all(self.cycle);
                 if done(self) {
+                    self.drain_observers();
                     return true;
                 }
             }
@@ -1478,6 +1534,7 @@ impl Sim {
             self.cycle = jump;
         }
         self.flush_all(self.cycle);
+        self.drain_observers();
         match done {
             Some(done) => done(self),
             None => false,
@@ -1500,11 +1557,12 @@ impl Sim {
         }
         let n = self.components.len();
         let all = if n >= 64 { !0u64 } else { (1u64 << n) - 1 };
-        self.arena.due = all;
+        let live = all & !self.arena.observer_mask;
+        self.arena.due = live;
         // Beats pushed from outside any run become visible one cycle in:
         // give every component a look at both of the first two cycles.
         self.arena.due_next = if self.pool.total_in_flight() > 0 {
-            all
+            live
         } else {
             0
         };
@@ -1547,11 +1605,16 @@ impl Sim {
         let mut all = vec![0u64; total_wires];
         let mut active = vec![0u64; total_wires]; // drive/consume endpoints
         let mut opaque_mask = 0u64;
+        let mut observer_mask = 0u64;
         let mut consume = vec![Vec::new(); n];
         let mut touched = vec![Vec::new(); n]; // non-observe flats per position
         for (i, component) in self.components.iter().enumerate() {
             let pos = pos_of[i] as usize;
             let bit = 1u64 << pos;
+            if component.tap_observer() {
+                observer_mask |= bit; // no wire wakes: drained in bulk
+                continue;
+            }
             let ports = component.ports();
             if ports.is_empty() {
                 opaque_mask |= bit;
@@ -1583,10 +1646,6 @@ impl Sim {
                 }
             }
         }
-        // Observe-only endpoints: excluded from pop wakes (their ticks only
-        // drain taps, which fill on pushes) and deferrable across batch
-        // windows (tap records carry their own cycle stamps).
-        let obs: Vec<u64> = all.iter().zip(&active).map(|(a, act)| a & !act).collect();
         let peers: Vec<u64> = touched
             .iter()
             .map(|flats| flats.iter().fold(0u64, |acc, &f| acc | active[f]))
@@ -1600,16 +1659,14 @@ impl Sim {
         }
         self.arena.order = order;
         self.arena.opaque_mask = opaque_mask;
+        self.arena.observer_mask = observer_mask;
         self.arena.consume = consume;
         self.arena.dependents = dependents;
         self.arena.peers = peers;
         self.arena.wake_at = vec![NEVER; n];
         self.arena.wake_min = NEVER;
-        self.pool.set_wake_tables(Some(Box::new(WakeTables {
-            slot_base,
-            all,
-            obs,
-        })));
+        self.pool
+            .set_wake_tables(Some(Box::new(WakeTables { slot_base, all })));
     }
 
     /// Pulls far wakes that have come due into the due mask and re-derives
@@ -1644,7 +1701,7 @@ impl Sim {
     fn poll_missed_wakes_arena(&mut self) {
         let cycle = self.cycle;
         for pos in 0..self.components.len() {
-            if self.arena.due & (1u64 << pos) != 0 {
+            if (self.arena.due | self.arena.observer_mask) & (1u64 << pos) != 0 {
                 continue;
             }
             let i = self.arena.order[pos] as usize;
@@ -1697,20 +1754,8 @@ impl Sim {
             // Any pending far wake is superseded by the re-arm below; the
             // stored minimum may go stale-low, which the merge scan fixes.
             self.arena.wake_at[pos] = NEVER;
-            self.pool.set_owner(Some(i));
             self.pool.begin_actor(pos as u32);
-            let mut ctx = TickCtx {
-                cycle,
-                pool: &mut self.pool,
-            };
-            self.profile[i].visits += 1;
-            #[cfg(feature = "self-profile")]
-            let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
-            self.components[i].tick(&mut ctx);
-            #[cfg(feature = "self-profile")]
-            {
-                self.profile[i].wall_ns += t0.elapsed().as_nanos() as u64;
-            }
+            self.visit(i, cycle);
             ticked += 1;
 
             // Wire activity → wakes, accumulated by the pool as masks.

@@ -804,3 +804,52 @@ fn testbench_run_matches_stepping() {
         ),
     );
 }
+
+/// Records the largest undrained tap backlog seen at the end of any cycle.
+/// Port-less and registered last, it ticks every cycle after every pusher.
+struct BacklogProbe {
+    peak: u64,
+}
+
+impl Component for BacklogProbe {
+    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+        self.peak = self.peak.max(ctx.pool.tap_backlog());
+    }
+}
+
+/// The event and arena kernels drain protocol monitors in bulk, so tap
+/// records pile up between drains. Over a long contended run the backlog
+/// must stay below the drain threshold plus one cycle's tapped pushes (at
+/// most one per tapped wire), and the monitors must still report exactly
+/// what per-cycle stepping reports.
+#[test]
+fn monitor_tap_backlog_stays_bounded() {
+    const CYCLES: u64 = 20_000;
+    let observe = |mode: KernelMode| {
+        let mut cfg = TestbenchConfig::single_source(2_000);
+        cfg.dma = Some(TestbenchConfig::worst_case_dma());
+        cfg.monitors = true;
+        let mut tb = Testbench::new(cfg);
+        tb.sim_mut().set_kernel_mode(mode);
+        let probe = tb.sim_mut().add(BacklogProbe { peak: 0 });
+        tb.run(CYCLES);
+        assert_eq!(tb.sim().pool().tap_backlog(), 0, "{mode:?}: undrained");
+        let peak = tb.sim().component::<BacklogProbe>(probe).unwrap().peak;
+        (peak, format!("{:?}", tb.conformance_report()))
+    };
+    let (_, stepped) = observe(KernelMode::Step);
+    let monitors = stepped.matches("PortReport").count() as u64;
+    assert!(monitors >= 5, "expected every port monitored: {stepped}");
+    for mode in [KernelMode::Event, KernelMode::Arena] {
+        let (peak, report) = observe(mode);
+        assert!(
+            peak >= axi_sim::TAP_DRAIN_RECORDS,
+            "{mode:?}: the run must be long enough to force bulk drains (peak {peak})"
+        );
+        assert!(
+            peak < axi_sim::TAP_DRAIN_RECORDS + 5 * monitors,
+            "{mode:?}: backlog peaked at {peak}"
+        );
+        assert_eq!(report, stepped, "{mode:?} monitors disagree with stepping");
+    }
+}
