@@ -57,22 +57,18 @@ fn kernel_section() -> Option<String> {
             "\nSelf-profile (one representative run; `wall_ns` is 0 unless built \
              with `--features self-profile`):\n"
         );
-        let _ = writeln!(
-            out,
-            "| component | visits | batch cycles | wakes | wall_ns |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|");
+        let _ = writeln!(out, "| component | visits | batch cycles | wall_ns |");
+        let _ = writeln!(out, "|---|---|---|---|");
         for entry in profile {
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} |",
                 entry.get("name").and_then(Json::as_str).unwrap_or("?"),
                 entry.get("visits").and_then(Json::as_u64).unwrap_or(0),
                 entry
                     .get("batch_cycles")
                     .and_then(Json::as_u64)
                     .unwrap_or(0),
-                entry.get("wakes").and_then(Json::as_u64).unwrap_or(0),
                 entry.get("wall_ns").and_then(Json::as_u64).unwrap_or(0),
             );
         }

@@ -181,8 +181,8 @@ fn build(regulator: Regulator, dma: bool, staller: bool, accesses: u64) -> Scena
     }
 
     // Feed Pass C's beat-batching plan, as the SoC testbench does. The
-    // non-arena kernels ignore it; under REALM_KERNEL=arena the enabled
-    // units pin their horizons at zero, so results stay bit-identical.
+    // stepping kernel ignores it; under the arena kernel the enabled units
+    // pin their horizons at zero, so results stay bit-identical.
     let (partition, _) = realm_lint::analyze_deps(&sim.topology(), &realm_lint::SystemModel::new());
     sim.set_batch_plan(partition.batch_allowed);
 

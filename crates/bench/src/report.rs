@@ -86,7 +86,7 @@ pub struct ExperimentReport {
     /// Per-point component telemetry (isolation trips, latency-histogram
     /// bounds, …) distilled from each run's [`TelemetrySink`] registry.
     /// Only kernel-invariant component-side signals belong here — the CI
-    /// kernel-equivalence job diffs these files across all four kernels,
+    /// kernel-equivalence job diffs these files across both kernels,
     /// and the transparency job diffs them with telemetry export on vs.
     /// off, so the rows must not depend on `REALM_TELEMETRY`/`REALM_TRACE`
     /// or on which kernel ran.

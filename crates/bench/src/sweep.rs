@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use axi_sim::KernelStats;
+use axi_sim::{KernelMode, KernelStats};
 
 use crate::Row;
 
@@ -35,7 +35,7 @@ impl PointRuntime {
     }
 
     /// A deterministic report row. Only the total simulated cycle count
-    /// appears here: it is identical under the event kernel and forced
+    /// appears here: it is identical under the arena kernel and forced
     /// cycle stepping (`REALM_KERNEL=step`), so `results/*.json` stays
     /// bit-identical whichever kernel ran. Kernel-dependent counters
     /// (ticks executed, skips, wire events) belong in `BENCH_kernel.json`
@@ -206,18 +206,13 @@ impl<R> SweepOutcome<R> {
                 ])
             })
             .collect();
-        // Which kernel produced these numbers (same resolution rules as
-        // axi-sim's REALM_KERNEL handling; anything unrecognized is the
-        // default event kernel).
-        let kernel = match std::env::var("REALM_KERNEL").as_deref() {
-            Ok("step") | Ok("stepped") | Ok("cycle") => "step",
-            Ok("islands") | Ok("island") => "islands",
-            Ok("arena") | Ok("compiled") => "arena",
-            _ => "event",
-        };
+        // Which kernel produced these numbers: the simulator's own
+        // REALM_KERNEL parser, which already refused any other value when
+        // the sweep's first `Sim` was built.
+        let kernel = KernelMode::from_env().unwrap_or_else(|e| panic!("{e}"));
         let mut doc = vec![
             ("experiment".to_owned(), Json::Str(experiment.to_owned())),
-            ("kernel".to_owned(), Json::Str(kernel.to_owned())),
+            ("kernel".to_owned(), Json::Str(kernel.name().to_owned())),
             ("threads".to_owned(), int(self.threads as u64)),
             ("wall_ms".to_owned(), num(self.wall.as_secs_f64() * 1e3)),
             ("cycles_per_sec".to_owned(), num(self.cycles_per_sec())),
@@ -370,7 +365,7 @@ mod tests {
         let rows = outcome.runtime_rows();
         assert_eq!(rows.len(), 3);
         // Runtime rows carry only the kernel-invariant total, so report
-        // files diff clean between the event kernel and forced stepping.
+        // files diff clean between the arena kernel and forced stepping.
         assert_eq!(rows[1].values, [("cycles".to_owned(), 202.0)]);
         assert_eq!(rows[2].values, [("cycles".to_owned(), 303.0)]);
     }

@@ -8,7 +8,7 @@
 //!   unconditionally, so `results/*.json` is bit-identical whether or not
 //!   any export env var is set (the CI transparency job diffs exactly
 //!   that), and they only draw on component-side counters/histograms,
-//!   which are bit-identical across all four kernels.
+//!   which are bit-identical across both kernels.
 //! * **Opt-in** — [`maybe_export`] dumps the full registry to
 //!   `results/telemetry/<name>.json` when `REALM_TELEMETRY` is set, and a
 //!   Chrome `trace_event` JSON (open it at <https://ui.perfetto.dev>) to
@@ -127,7 +127,7 @@ pub fn merged_histogram(sink: &TelemetrySink, signal: &str) -> Histogram {
 /// Distills one run's registry into the kernel-invariant report row for the
 /// `telemetry` section: REALM regulation totals plus latency-histogram
 /// bounds. Every value comes from component state (never `kernel.*`
-/// counters), so the row is identical under all four kernels and
+/// counters), so the row is identical under both kernels and
 /// independent of whether trace/telemetry export was armed.
 pub fn point_row(label: &str, sink: &TelemetrySink) -> Row {
     let read = merged_histogram(sink, "read_latency");
@@ -170,7 +170,7 @@ where
 }
 
 /// The kernel self-profile as a JSON array for `BENCH_kernel.json`:
-/// per-component visits, batch-window cycles, wakes, and (with the
+/// per-component visits, batch-window cycles, and (with the
 /// `self-profile` feature) wall-time.
 pub fn profile_json(profile: &[ComponentProfile]) -> Json {
     let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
@@ -182,7 +182,6 @@ pub fn profile_json(profile: &[ComponentProfile]) -> Json {
                     ("name".to_owned(), Json::Str(p.name.clone())),
                     ("visits".to_owned(), int(p.visits)),
                     ("batch_cycles".to_owned(), int(p.batch_cycles)),
-                    ("wakes".to_owned(), int(p.wakes)),
                     ("wall_ns".to_owned(), int(p.wall_ns)),
                 ])
             })
@@ -349,7 +348,6 @@ mod tests {
             name: "core".to_owned(),
             visits: 42,
             batch_cycles: 7,
-            wakes: 3,
             wall_ns: 0,
         }];
         let json = profile_json(&profile);

@@ -8,8 +8,8 @@
 //! monitor never pushes, pops, or peeks a wire, so attaching it cannot
 //! perturb simulated behaviour. It is a
 //! [tap observer](axi_sim::Component::tap_observer): its state is a fold
-//! over the stamped records in push order, so the event and arena kernels
-//! drain it in bulk rather than ticking it every cycle.
+//! over the stamped records in push order, so the arena kernel drains it
+//! in bulk rather than ticking it every cycle.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

@@ -5,9 +5,9 @@
 //!
 //! Together with `rule_coverage_is_total` at the bottom, these tests prove
 //! the twelve rules in [`Rule::ALL`] each have a paired injection. Every
-//! injection runs under all four kernels, which must agree on the verdict:
-//! the stepping and islands kernels tick the monitor every cycle, the event
-//! and arena kernels drain it in bulk.
+//! injection runs under both kernels, which must agree on the verdict: the
+//! stepping kernel ticks the monitor every cycle, the arena kernel drains it
+//! in bulk.
 
 use std::collections::BTreeMap;
 
@@ -16,12 +16,7 @@ use axi_conformance::{PortCounters, ProtocolMonitor, Rule, Violation};
 use axi_sim::{AxiBundle, ChannelPool, Component, ComponentId, KernelMode, Sim, TickCtx};
 
 /// Every kernel, the stepping reference first.
-const KERNELS: [KernelMode; 4] = [
-    KernelMode::Step,
-    KernelMode::Event,
-    KernelMode::Islands,
-    KernelMode::Arena,
-];
+const KERNELS: [KernelMode; 2] = [KernelMode::Step, KernelMode::Arena];
 
 fn aw(id: u32, addr: u64, beats: u16) -> AwBeat {
     AwBeat::new(

@@ -193,9 +193,10 @@ fn build(spec: &SystemSpec) -> Rig {
     scoreboard = scoreboard.boundary(&xbar_refs, &["mem"]);
 
     // Production parity with the SoC testbench: feed Pass C's beat-batching
-    // plan to the sim. Non-arena kernels ignore it; under REALM_KERNEL=arena
-    // the enabled units pin their horizons at zero, so fuzz runs exercise
-    // the window-gate machinery without a single observable changing.
+    // plan to the sim. The stepping kernel ignores it; under the arena
+    // kernel the enabled units pin their horizons at zero, so fuzz runs
+    // exercise the window-gate machinery without a single observable
+    // changing.
     let (partition, _) = realm_lint::analyze_deps(&sim.topology(), &spec.model());
     sim.set_batch_plan(partition.batch_allowed);
 

@@ -33,10 +33,10 @@
 //! full intra-cycle dependence graph — wire edges from port declarations,
 //! couple edges from [`Sim::couple`](axi_sim::Sim::couple), comb edges
 //! from the system model — and computes a [`Partition`]: the island
-//! decomposition (independently steppable connected components, executed
-//! by the `REALM_KERNEL=islands` kernel and enforced at runtime by the
-//! `REALM_SANITIZE=1` access sanitizer) and a deterministic static
-//! evaluation schedule with its zero-latency depth.
+//! decomposition (independently steppable connected components, which is
+//! why the arena kernel may order its schedule island-major; enforced at
+//! runtime by the `REALM_SANITIZE=1` access sanitizer) and a deterministic
+//! static evaluation schedule with its zero-latency depth.
 //!
 //! Feasibility findings are warnings by design: the paper's own Fig. 6b
 //! configuration over-subscribes the LLC deliberately (reservations of
@@ -47,7 +47,7 @@
 //! `REALM_LINT=0` to opt out and `REALM_LINT=verbose` to print warnings.
 //!
 //! **Runtime-checked kernel contract (`kernel-stale-hint`).** One rule in
-//! the catalogue is enforced by the event kernel itself rather than by
+//! the catalogue is enforced by the arena kernel itself rather than by
 //! either static pass, because it depends on dynamic state no
 //! elaboration-time or source-level check can see: a component's
 //! [`next_event`](axi_sim::Component::next_event) /

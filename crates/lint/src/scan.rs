@@ -20,7 +20,7 @@
 //!
 //! These static rules have one runtime companion the scanner cannot
 //! express: the kernel wake-hint contract (`kernel-stale-hint`, see the
-//! crate docs), checked by the event kernel on every `next_event` /
+//! crate docs), checked by the arena kernel on every `next_event` /
 //! `backlog_event` call and reported through `Sim::contract_violations`.
 
 use std::fs;

@@ -21,9 +21,9 @@
 //!   smallest-registration-index tie-breaking, island-major;
 //! - the **island partition**: connected components of the undirected
 //!   dependence graph. No edge of any kind crosses an island, so each
-//!   island can be stepped independently of the others — the
-//!   `REALM_KERNEL=islands` kernel executes exactly this partition, and
-//!   the `REALM_SANITIZE=1` access sanitizer checks at runtime that no
+//!   island can be stepped independently of the others — the arena
+//!   kernel's schedule is island-major for that reason, and the
+//!   `REALM_SANITIZE=1` access sanitizer checks at runtime that no
 //!   undeclared access escapes it.
 //!
 //! Three diagnostics police the couple declarations themselves: a couple
@@ -430,7 +430,7 @@ fn batch_plan(topo: &Topology, edges: &[DepEdge], by_wire: &WireEndpoints<'_>) -
 /// a declared wire. The wire already puts the pair in one island, so as a
 /// *dependence* edge the couple adds nothing — either the shared state
 /// mirrors what the wire carries (drop the couple) or the ports
-/// over-declare. Warning, not error: the couple still changes event-kernel
+/// over-declare. Warning, not error: the couple still changes arena-kernel
 /// wake behaviour for writes without wire activity.
 fn check_couple_redundant(topo: &Topology, report: &mut Report) {
     if topo.couples.is_empty() {

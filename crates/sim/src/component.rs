@@ -41,15 +41,18 @@ pub trait Component: Any {
     /// change any state, **assuming no push or pop happens on any of its
     /// declared wires before then**.
     ///
-    /// This is the wake hint behind the event kernel in
+    /// This is the wake hint behind the arena kernel in
     /// [`Sim::run`](crate::Sim::run): each component sleeps until its hint
     /// comes due or activity touches one of its [`Component::ports`] wires
     /// — a push wakes it when the beat becomes visible (and same-cycle for
-    /// peers ticking later, exactly when a stepped tick would first see
-    /// the pusher's effects), a pop wakes it when the freed capacity
-    /// becomes usable. Cycles on which no component is due are jumped over
-    /// entirely. [Tap observers](Component::tap_observer) take no part in
-    /// this: they get no wire wakes and their hints are never consulted.
+    /// components later in the schedule, exactly when a stepped tick would
+    /// first see the pusher's effects), a pop wakes it when the freed
+    /// capacity becomes usable. A hint of the next cycle sets the
+    /// component's bit in the next-cycle due mask; a later one is kept as
+    /// its pending far wake. Cycles on which no component is due are
+    /// jumped over entirely. [Tap observers](Component::tap_observer) take
+    /// no part in this: they hold no schedule position, get no wire wakes,
+    /// and their hints are never consulted.
     ///
     /// Return values:
     ///
@@ -81,7 +84,7 @@ pub trait Component: Any {
     /// The earliest cycle `>= cycle` at which this component could consume
     /// backlog parked on its input wires.
     ///
-    /// The event kernel calls this after a tick that left beats queued on
+    /// The arena kernel calls this after a tick that left beats queued on
     /// the component's Consume wires (or, for opaque components, anywhere
     /// in the pool): a consumer pops at most one beat per wire per cycle
     /// and may decline, so queued input alone does not say *when* the next
@@ -107,7 +110,7 @@ pub trait Component: Any {
     }
 
     /// `true` if this component is a *tap-fold observer*, which lets the
-    /// event and arena kernels take it off the per-cycle schedule.
+    /// arena kernel take it off the per-cycle schedule.
     ///
     /// The contract, which the component must keep exactly:
     ///
@@ -120,17 +123,18 @@ pub trait Component: Any {
     ///   cycles leaves exactly the state per-cycle ticks over that span
     ///   would have — `ctx.cycle` must not matter.
     ///
-    /// The event and arena kernels then give it no wire wakes and never
-    /// visit it per cycle; its [`Component::next_event`],
+    /// The arena kernel then gives it no schedule position (so it does not
+    /// count toward the 64-position limit), no wire wakes, and no
+    /// per-cycle visit; its [`Component::next_event`],
     /// [`Component::backlog_event`] and [`Component::batch_horizon`] are
-    /// not consulted. Instead they tick every tap observer in bulk when
-    /// the pool's undrained tap backlog ([`ChannelPool::tap_backlog`])
-    /// reaches a fixed threshold, and before every return from
+    /// not consulted. Instead it ticks every tap observer in bulk when the
+    /// pool's undrained tap backlog ([`ChannelPool::tap_backlog`]) reaches
+    /// a fixed threshold, and before every return from
     /// [`Sim::run`](crate::Sim::run) and
     /// [`Sim::run_until`](crate::Sim::run_until). Between those points a
     /// tap observer lags the simulation, so a `run_until` predicate must
-    /// not read one. The stepping and islands kernels tick it every cycle
-    /// like any other component.
+    /// not read one. The stepping kernel ticks it every cycle like any
+    /// other component.
     ///
     /// The answer must not change over the component's lifetime. The
     /// default `false` keeps a component on the per-cycle schedule; a
@@ -161,7 +165,7 @@ pub trait Component: Any {
     ///
     /// Components whose tick accumulates per-cycle state (e.g. an
     /// isolated-cycles counter) must apply the `to - from` elided ticks
-    /// here so an event-driven run ends in exactly the state a stepped run
+    /// here so a fast-forwarded run ends in exactly the state a stepped run
     /// would. The kernel may reconcile one sleep stretch in several
     /// consecutive calls (`a..b` then `b..c`), so the accounting must
     /// compose. Components with purely event-driven state need nothing —
@@ -174,7 +178,7 @@ pub trait Component: Any {
     /// cover in one [`Component::batch_tick`] call instead of per-cycle
     /// ticks.
     ///
-    /// The arena kernel (`REALM_KERNEL=arena`) opens a *batch window* of
+    /// The arena kernel opens a *batch window* of
     /// `w` cycles when every due component reports a horizon `>= w` (and
     /// the window-safety conditions around sleeping peers hold — see
     /// `DESIGN.md` §8). Within its horizon a component promises:

@@ -4,8 +4,8 @@
 //! on: clock cycles and beat-level channel handshakes. Its semantics are:
 //!
 //! - Time advances in integer clock cycles. Observably, every [`Component`]
-//!   is ticked once per cycle; the default event-driven kernel only
-//!   *executes* the ticks that can change state (see [`Sim`]).
+//!   is ticked once per cycle; the default arena kernel only *executes*
+//!   the ticks that can change state (see [`Sim`]).
 //! - Channels are bounded [`Wire`]s. An item pushed at cycle *t* becomes
 //!   visible to consumers at *t + 1* ("register per hop"), so results do not
 //!   depend on the order components are ticked in, and every hop through a

@@ -146,24 +146,10 @@ pub(crate) fn channel_slot(label: &str) -> Option<usize> {
     }
 }
 
-/// One successful push or pop, recorded while the event kernel is driving
-/// ticks so it can translate wire activity into component wakes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct WireEvent {
-    /// [`Channel::SLOT`] of the touched wire's channel.
-    pub slot: usize,
-    /// Pool-internal wire index within the channel.
-    pub wire: usize,
-    /// `true` for a push (new beat, visible next cycle), `false` for a pop
-    /// (freed capacity / new front beat).
-    pub push: bool,
-}
-
 /// Precomputed wake masks the arena kernel arms on the pool: per flat wire
 /// index, the set of schedule positions that depend on the wire. With the
 /// masks armed, every successful push and pop ORs at most two words into
-/// the pool's pending wake accumulators instead of growing an event log —
-/// the arena kernel's replacement for [`WireEvent`] recording.
+/// the pool's pending wake accumulators.
 #[derive(Debug, Default)]
 pub(crate) struct WakeTables {
     /// First flat wire index per channel slot.
@@ -301,10 +287,6 @@ pub struct ChannelPool {
     owner: Option<usize>,
     refusals: Vec<PushRefusal>,
     refusals_dropped: u64,
-    // Successful push/pop log, captured only while the event kernel has
-    // recording on; drained after every tick to derive wakes.
-    events: Vec<WireEvent>,
-    recording: bool,
     // Wake-mask accumulators, armed only by the arena kernel (`None` =
     // off). `actor_bit`/`actor_later` describe the component currently
     // ticking in schedule-position space, refreshed per tick.
@@ -398,13 +380,6 @@ impl ChannelPool {
         self.tap_backlog += tapped;
         self.in_flight += 1;
         self.total_pushed += 1;
-        if self.recording {
-            self.events.push(WireEvent {
-                slot: T::SLOT,
-                wire: id.index,
-                push: true,
-            });
-        }
         if let Some(wk) = &self.wake {
             let all = wk.all[wk.slot_base[T::SLOT] + id.index];
             self.wake_now |= all & self.actor_later;
@@ -454,9 +429,9 @@ impl ChannelPool {
     }
 
     /// Tapped records pushed but not yet cleared, across all wires (O(1)).
-    /// The event and arena kernels tick every
+    /// The arena kernel ticks every
     /// [tap observer](crate::Component::tap_observer) once this reaches
-    /// their bulk-drain threshold, so it stays bounded by that threshold
+    /// its bulk-drain threshold, so it stays bounded by that threshold
     /// plus one executed cycle's (or batch window's) pushes.
     pub fn tap_backlog(&self) -> u64 {
         self.tap_backlog
@@ -494,13 +469,6 @@ impl ChannelPool {
             _ => return None,
         };
         self.in_flight -= 1;
-        if self.recording {
-            self.events.push(WireEvent {
-                slot: T::SLOT,
-                wire: id.index,
-                push: false,
-            });
-        }
         if let Some(wk) = &self.wake {
             let all = wk.all[wk.slot_base[T::SLOT] + id.index];
             self.wake_now |= all & self.actor_later;
@@ -582,20 +550,6 @@ impl ChannelPool {
             // lifetime counters advance by the beats moved.
             self.total_pushed += moved;
             self.batched_beats += moved;
-            if self.recording {
-                for _ in 0..moved {
-                    self.events.push(WireEvent {
-                        slot: T::SLOT,
-                        wire: from.index,
-                        push: false,
-                    });
-                    self.events.push(WireEvent {
-                        slot: T::SLOT,
-                        wire: to.index,
-                        push: true,
-                    });
-                }
-            }
             if let Some(wk) = &self.wake {
                 let popped = wk.all[wk.slot_base[T::SLOT] + from.index];
                 let pushed = wk.all[wk.slot_base[T::SLOT] + to.index];
@@ -817,24 +771,9 @@ impl ChannelPool {
         out.append(&mut self.san_hits);
     }
 
-    /// Turns the push/pop event log on or off (event-kernel use). Turning
-    /// recording off discards any not-yet-drained events.
-    pub(crate) fn set_recording(&mut self, on: bool) {
-        self.recording = on;
-        if !on {
-            self.events.clear();
-        }
-    }
-
-    /// Moves all recorded [`WireEvent`]s into `out`, oldest first.
-    pub(crate) fn drain_events_into(&mut self, out: &mut Vec<WireEvent>) {
-        out.append(&mut self.events);
-    }
-
-    /// Arms (or disarms, with `None`) the wake-mask accumulators the arena
-    /// kernel reads instead of the event log.
-    pub(crate) fn set_wake_tables(&mut self, tables: Option<Box<WakeTables>>) {
-        self.wake = tables;
+    /// Arms the wake-mask accumulators the arena kernel reads.
+    pub(crate) fn set_wake_tables(&mut self, tables: Box<WakeTables>) {
+        self.wake = Some(tables);
         self.wake_now = 0;
         self.wake_next = 0;
         self.wake_any = false;

@@ -4,12 +4,13 @@
 //!
 //! - [`Sim::step`] is the reference kernel: every component ticks every
 //!   cycle, in registration order.
-//! - [`Sim::run`]/[`Sim::run_until`] default to the *event kernel*: a
-//!   wake-queue (binary heap over [`Component::next_event`] hints) plus a
-//!   per-cycle dirty-set derived from wire pushes and pops, so a cycle only
-//!   visits components that have a due event or fresh input, and cycles
-//!   with no due component at all are jumped over entirely. Elided ticks
-//!   are reconciled per component through [`Component::on_fast_forward`].
+//! - [`Sim::run`]/[`Sim::run_until`] default to the *arena kernel*: a
+//!   compiled schedule pins each component to a bit of a `u64` mask, the
+//!   pool ORs precomputed per-wire wake masks into the next-cycle set on
+//!   every push and pop, and [`Component::next_event`] hints book later
+//!   wakes. A cycle only visits components that are due, and cycles with
+//!   no due component at all are jumped over entirely. Elided ticks are
+//!   reconciled per component through [`Component::on_fast_forward`].
 //!
 //! The two must be bit-identical in every observable: `REALM_KERNEL=step`
 //! forces the stepping kernel for differential runs, and the
@@ -17,15 +18,14 @@
 //! traffic.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use realm_telemetry::TelemetrySink;
 
 use crate::pool::{
     channel_slot, ChannelPool, RawSanViolation, SanitizerKind, SanitizerTables, WakeTables,
-    WireEvent, CHANNEL_SLOTS,
+    CHANNEL_SLOTS,
 };
 
 use crate::component::{Component, TickCtx};
@@ -55,19 +55,19 @@ pub struct KernelStats {
     /// Number of fast-forward jumps taken.
     pub fast_forwards: u64,
     /// Individual `Component::tick` calls across all executed cycles. The
-    /// event and arena kernels' bulk drains of tap observers belong to no
-    /// cycle and are not counted here; the self-profiler counts them as
-    /// visits (see [`Sim::profile`]).
+    /// arena kernel's bulk drains of tap observers belong to no cycle and
+    /// are not counted here; the self-profiler counts them as visits (see
+    /// [`Sim::profile`]).
     pub component_ticks: u64,
     /// Component-cycles elided: sleeping components during executed cycles
     /// plus every component during skipped cycles. The invariant
     /// `component_ticks + component_skips == cycles_total() * n_components`
     /// holds for a run driven by one kernel throughout.
     pub component_skips: u64,
-    /// Successful wire pushes and pops the event or arena kernel
-    /// translated into wakes (0 under the stepping kernel, which needs
-    /// none). Beats moved by a batched transfer count one push and one pop
-    /// each, exactly as their per-cycle execution would have.
+    /// Successful wire pushes and pops the arena kernel translated into
+    /// wakes (0 under the stepping kernel, which needs none). Beats moved
+    /// by a batched transfer count one push and one pop each, exactly as
+    /// their per-cycle execution would have.
     pub wire_events: u64,
     /// Beats moved by batched transfers ([`ChannelPool::batch_relay`])
     /// instead of per-cycle ticks. Each batched beat is still one beat
@@ -94,19 +94,13 @@ pub struct ComponentProfile {
     pub index: usize,
     /// Its [`Component::name`].
     pub name: String,
-    /// `tick`/`batch_tick` calls executed for this component, across all
-    /// kernels.
+    /// `tick`/`batch_tick` calls executed for this component, across both
+    /// kernels. Each bulk drain of a
+    /// [tap observer](Component::tap_observer) counts as one visit.
     pub visits: u64,
     /// Cycles covered by batch windows (each window is one visit covering
-    /// `window` cycles; 0 under the non-arena kernels).
+    /// `window` cycles; 0 under the stepping kernel).
     pub batch_cycles: u64,
-    /// Wakes delivered to this component by the event kernel's bookkeeping
-    /// (wire activity, couple writes, opaque broadcasts). The stepping,
-    /// islands, and arena kernels keep no per-component wake list and
-    /// report 0. [Tap observers](Component::tap_observer) are never woken:
-    /// the event and arena kernels drain them in bulk, and each bulk drain
-    /// counts as one visit.
-    pub wakes: u64,
     /// Wall-clock nanoseconds spent inside this component's ticks. Always 0
     /// unless `axi-sim` is built with the `self-profile` feature — the
     /// clock reads do not exist in a default build, keeping the simulator
@@ -122,44 +116,61 @@ struct ProfileEntry {
     wall_ns: u64,
 }
 
-/// Which kernel drives [`Sim::run`] and [`Sim::run_until`].
+/// Which kernel drives [`Sim::run`] and [`Sim::run_until`], chosen by the
+/// `REALM_KERNEL` environment variable (see [`KernelMode::from_env`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelMode {
-    /// Wake-queue + dirty-set event kernel (the default).
-    Event,
     /// Reference kernel: tick every component every cycle. Selected by
     /// `REALM_KERNEL=step` for differential runs.
     Step,
-    /// Island kernel: tick every component every cycle, but walk the
-    /// statically computed dependence islands (see
-    /// [`Topology::islands`](crate::Topology::islands)) island by island
-    /// instead of the flat registration order. Islands are independent by
-    /// construction — no shared wire, couple, or declared endpoint crosses
-    /// one — so the reordering is unobservable and results stay
-    /// bit-identical to [`KernelMode::Step`]; each island could equally be
-    /// stepped by its own worker once component storage is `Send` (the
-    /// arena refactor). Selected by `REALM_KERNEL=islands`.
-    Islands,
-    /// Compiled-schedule kernel: components are pinned to *schedule
+    /// Compiled-schedule kernel (the default): components that are not
+    /// [tap observers](Component::tap_observer) are pinned to *schedule
     /// positions* (island-major registration order, at most 64), every
     /// per-cycle set is a single `u64` mask, and wire activity reaches the
-    /// scheduler through the pool's wake-mask accumulators instead of an
-    /// event log — no heap, no per-event allocation. On top of the mask
-    /// scheduler it runs beat-batched transfers: when every due component
-    /// can stream ahead ([`Component::batch_horizon`]) and no sleeping
-    /// component wakes inside the window, queued beats move in bulk ring
-    /// copies ([`ChannelPool::batch_relay`]) instead of per-cycle virtual
-    /// ticks. Selected by `REALM_KERNEL=arena`; systems with more than 64
-    /// components fall back to the event kernel.
+    /// scheduler through the pool's wake-mask accumulators. On top of the
+    /// mask scheduler it runs beat-batched transfers: when every due
+    /// component can stream ahead ([`Component::batch_horizon`]) and no
+    /// sleeping component wakes inside the window, queued beats move in
+    /// bulk ring copies ([`ChannelPool::batch_relay`]) instead of
+    /// per-cycle virtual ticks. A run whose system needs more than 64
+    /// positions panics at its start.
     Arena,
 }
 
-fn kernel_mode_from_env() -> KernelMode {
-    match std::env::var("REALM_KERNEL").as_deref() {
-        Ok("step") | Ok("stepped") | Ok("cycle") => KernelMode::Step,
-        Ok("islands") | Ok("island") => KernelMode::Islands,
-        Ok("arena") | Ok("compiled") => KernelMode::Arena,
-        _ => KernelMode::Event,
+impl KernelMode {
+    /// The mode's `REALM_KERNEL` value.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelMode::Step => "step",
+            KernelMode::Arena => "arena",
+        }
+    }
+
+    /// Parses a `REALM_KERNEL` value.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable, the value and the accepted values.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "step" => Ok(KernelMode::Step),
+            "arena" => Ok(KernelMode::Arena),
+            _ => Err(format!(
+                "REALM_KERNEL={value:?} is not a kernel; accepted values: step, arena"
+            )),
+        }
+    }
+
+    /// The mode `REALM_KERNEL` selects; [`KernelMode::Arena`] when unset.
+    ///
+    /// # Errors
+    ///
+    /// As [`KernelMode::parse`] for a value it does not accept.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var_os("REALM_KERNEL") {
+            None => Ok(KernelMode::Arena),
+            Some(value) => Self::parse(&value.to_string_lossy()),
+        }
     }
 }
 
@@ -222,8 +233,8 @@ impl fmt::Display for ContractViolation {
 /// push, pop, or wake that the component's declared ports and couples do
 /// not account for. The access itself is never blocked — results stay
 /// exact — but each record is a dependence edge missing from the static
-/// graph, i.e. a component the island partition and the event kernel's
-/// wake bookkeeping may be reasoning about incorrectly.
+/// graph, i.e. a component the island partition and the arena kernel's
+/// wake tables may be reasoning about incorrectly.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SanitizerViolation {
     /// Registration index of the offending component.
@@ -270,153 +281,28 @@ const MAX_VIOLATIONS: usize = 64;
 /// Sentinel for "no pending wake".
 const NEVER: Cycle = Cycle::MAX;
 
-/// The event kernel's wake bookkeeping, rebuilt from component port
-/// declarations whenever the topology changes.
-#[derive(Default)]
-struct Scheduler {
-    /// Flat endpoint table: wire `(slot, index)` maps through `slot_base`
-    /// to a `(start, end)` range in `endpoint_list` holding the
-    /// registration indices of its declared endpoints (drivers, consumers,
-    /// observers), deduplicated. Contiguous storage keeps the per-event
-    /// lookup to two indexed reads instead of three pointer hops.
-    endpoint_ranges: Vec<(u32, u32)>,
-    endpoint_list: Vec<u32>,
-    slot_base: [usize; CHANNEL_SLOTS],
-    /// Per component: its declared Consume wires as `(slot, wire)`.
-    consume: Vec<Vec<(usize, usize)>>,
-    /// Components that declared no ports: woken by *any* wire activity and
-    /// kept due while any beat is in flight, so undeclared topologies stay
-    /// exact at the price of not sleeping through traffic.
-    opaque: Vec<u32>,
-    is_opaque: Vec<bool>,
-    /// Tap observers: off the schedule entirely, drained in bulk.
-    is_observer: Vec<bool>,
-    /// Per component: dependents registered via [`Sim::couple`].
-    dependents: Vec<Vec<u32>>,
-    /// Dirty-set for the cycle currently being processed.
-    due: Vec<bool>,
-    due_count: usize,
-    /// Components scheduled for the immediately following cycle — the fast
-    /// path that lets back-to-back beat streams ride cycle to cycle without
-    /// touching the heap.
-    next_flags: Vec<bool>,
-    next_list: Vec<u32>,
-    /// Earliest pending wake per component (`NEVER` = none); heap entries
-    /// not matching it are stale and discarded on pop.
-    scheduled: Vec<Cycle>,
-    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    /// Scratch buffer for drained pool events.
-    events: Vec<WireEvent>,
-    /// Per component: wakes delivered by wire activity, couple writes, and
-    /// opaque broadcasts — the self-profiler's wake attribution (see
-    /// [`Sim::profile`]). Preserved across table rebuilds.
-    wakes: Vec<u64>,
-    /// `(components, wires, couples)` the tables were built for.
-    signature: (usize, usize, usize),
-}
-
-impl Scheduler {
-    fn mark_due(&mut self, j: usize) {
-        if !self.due[j] {
-            self.due[j] = true;
-            self.due_count += 1;
-        }
-    }
-
-    /// Records a wake at `at` (strictly after the cycle being processed).
-    fn schedule(&mut self, j: usize, at: Cycle, current: Cycle) {
-        if at >= self.scheduled[j] {
-            return;
-        }
-        self.scheduled[j] = at;
-        if at == current + 1 {
-            if !self.next_flags[j] {
-                self.next_flags[j] = true;
-                self.next_list.push(j as u32);
-            }
-        } else {
-            self.heap.push(Reverse((at, j as u32)));
-        }
-    }
-
-    /// Translates one wire event caused by `actor`'s tick at `cycle` into
-    /// wakes for peer `j`.
-    #[inline]
-    fn wake_peer(&mut self, j: usize, actor: usize, push: bool, cycle: Cycle) {
-        if j == actor {
-            return;
-        }
-        self.wakes[j] += 1;
-        if push {
-            // New beat: visible next cycle; peers ticking after the pusher
-            // also look this cycle, as a stepped tick after it would.
-            if j > actor {
-                self.mark_due(j);
-            }
-            self.schedule(j, cycle + 1, cycle);
-        } else if j > actor {
-            // Freed capacity / new front beat: usable this cycle by later
-            // peers, next cycle by earlier ones.
-            self.mark_due(j);
-        } else {
-            self.schedule(j, cycle + 1, cycle);
-        }
-    }
-
-    /// Wakes every declared endpoint of the event's wire. Indexed access
-    /// (rather than moving the list out) keeps the per-event cost to the
-    /// wakes themselves — this runs for every push and pop in the system.
-    fn wake_endpoints(&mut self, event: WireEvent, actor: usize, cycle: Cycle) {
-        let (start, end) = self.endpoint_ranges[self.slot_base[event.slot] + event.wire];
-        for k in start..end {
-            let j = self.endpoint_list[k as usize] as usize;
-            self.wake_peer(j, actor, event.push, cycle);
-        }
-    }
-
-    /// Wakes every opaque component after an event-bearing tick: any wire
-    /// activity may matter to a component with undeclared topology. One
-    /// combined wake per tick (due now for later peers, next cycle always)
-    /// over-approximates the per-event push/pop rules — extra ticks are
-    /// always exact — and avoids walking the list once per event.
-    fn wake_opaque(&mut self, actor: usize, cycle: Cycle) {
-        for k in 0..self.opaque.len() {
-            let j = self.opaque[k] as usize;
-            if j == actor {
-                continue;
-            }
-            self.wakes[j] += 1;
-            if j > actor {
-                self.mark_due(j);
-            }
-            self.schedule(j, cycle + 1, cycle);
-        }
-    }
-}
-
-/// The arena kernel's compiled schedule and mask scheduler. Components are
-/// addressed by *schedule position* — island-major registration order, at
-/// most 64 — so every per-cycle set (due now, due next, opaque) is one
-/// `u64` and translating wire activity into wakes is a couple of ORs
-/// against the pool's accumulators instead of a walk over an event log.
+/// The arena kernel's compiled schedule and mask scheduler. Components
+/// other than tap observers are addressed by *schedule position* —
+/// island-major registration order, at most [`MAX_POSITIONS`] — so every
+/// per-cycle set (due now, due next, opaque) is one `u64` and translating
+/// wire activity into wakes is a couple of ORs against the pool's
+/// accumulators.
 #[derive(Default)]
 struct ArenaSched {
     /// `order[pos]` = registration index of the component ticked at
     /// schedule position `pos`.
     order: Vec<u32>,
     /// Positions of opaque (port-less) components: woken by any
-    /// event-bearing tick, exactly like the event kernel's opaque list.
+    /// event-bearing tick.
     opaque_mask: u64,
-    /// Positions of tap observers: never due, drained in bulk.
-    observer_mask: u64,
     /// Per position: declared Consume wires as `(slot, wire)`.
     consume: Vec<Vec<(usize, usize)>>,
     /// Per position: coupled dependents, as schedule positions.
     dependents: Vec<Vec<u32>>,
-    /// Per position: non-observer endpoints of every wire the component
-    /// drives or consumes (its own bit included). A batch window requires
-    /// every such peer to be due — batched activity on the shared wire
-    /// would otherwise have to wake a sleeping peer mid-window.
+    /// Per position: endpoints of every wire the component drives or
+    /// consumes (its own bit included). A batch window requires every such
+    /// peer to be due — batched activity on the shared wire would
+    /// otherwise have to wake a sleeping peer mid-window.
     peers: Vec<u64>,
     /// Positions due at the cycle being processed.
     due: u64,
@@ -434,18 +320,22 @@ struct ArenaSched {
     signature: (usize, usize, usize),
 }
 
+/// Schedule positions the arena kernel can address: one bit of a `u64`
+/// each.
+const MAX_POSITIONS: usize = 64;
+
 /// A cycle-accurate simulator: a [`ChannelPool`] plus an ordered list of
 /// components.
 ///
-/// [`Sim::run`] and [`Sim::run_until`] are driven by a discrete-event
-/// kernel: a wake-queue keyed on [`Component::next_event`] hints plus a
-/// dirty-set fed by wire pushes/pops decides, per cycle, which components
-/// tick at all; cycles with an empty dirty-set are jumped over entirely.
-/// Skipping is exact — elided ticks are provable no-ops under the
-/// `next_event` contract, and components reconcile time-proportional
-/// counters in [`Component::on_fast_forward`] — so an event-driven run
-/// finishes in the same state, at the same cycle, as an explicitly stepped
-/// one; only wall-clock changes. [`Sim::kernel_stats`] reports the split.
+/// [`Sim::run`] and [`Sim::run_until`] are driven by the arena kernel: due
+/// masks fed by [`Component::next_event`] hints and by wire pushes/pops
+/// decide, per cycle, which components tick at all; cycles with nothing
+/// due are jumped over entirely. Skipping is exact — elided ticks are
+/// provable no-ops under the `next_event` contract, and components
+/// reconcile time-proportional counters in [`Component::on_fast_forward`]
+/// — so a run finishes in the same state, at the same cycle, as an
+/// explicitly stepped one; only wall-clock changes. [`Sim::kernel_stats`]
+/// reports the split.
 ///
 /// # Example
 ///
@@ -476,7 +366,6 @@ pub struct Sim {
     /// order; `couple_set` is the membership index keeping `couple` O(log n).
     couples: Vec<(usize, usize)>,
     couple_set: BTreeSet<(usize, usize)>,
-    sched: Scheduler,
     violations: Vec<ContractViolation>,
     violations_dropped: u64,
     /// Access sanitizer (`REALM_SANITIZE=1`): when on, pool taps check
@@ -488,10 +377,6 @@ pub struct Sim {
     san_violations: Vec<SanitizerViolation>,
     san_violations_dropped: u64,
     san_scratch: Vec<RawSanViolation>,
-    /// Island partition for [`KernelMode::Islands`] plus the
-    /// `(components, wires, couples)` signature it was computed for.
-    islands: Vec<Vec<usize>>,
-    islands_signature: Option<(usize, usize, usize)>,
     /// Compiled schedule + mask scheduler for [`KernelMode::Arena`].
     arena: ArenaSched,
     /// Per registration index: whether the batching plan allows this
@@ -507,8 +392,7 @@ pub struct Sim {
     /// [`Sim::set_batch_window_log`]); `None` costs nothing per window.
     batch_window_log: Option<Vec<(Cycle, u64)>>,
     /// Registration indices of the [tap observers](Component::tap_observer),
-    /// which the event and arena kernels drain in bulk instead of ticking
-    /// per cycle.
+    /// which the arena kernel drains in bulk instead of ticking per cycle.
     observers: Vec<usize>,
 }
 
@@ -516,10 +400,10 @@ pub struct Sim {
 /// [`MAX_VIOLATIONS`] — a trace needs the shape, not every window).
 const MAX_WINDOW_LOG: usize = 4096;
 
-/// Undrained tap records ([`ChannelPool::tap_backlog`]) at which the event
-/// and arena kernels tick every [tap observer](Component::tap_observer) in
-/// bulk. Large enough that a bulk drain is rare next to the cycles it
-/// covers, small enough that the tap buffers (and the observers' copies of
+/// Undrained tap records ([`ChannelPool::tap_backlog`]) at which the arena
+/// kernel ticks every [tap observer](Component::tap_observer) in bulk.
+/// Large enough that a bulk drain is rare next to the cycles it covers,
+/// small enough that the tap buffers (and the observers' copies of
 /// them) stay within tens of kilobytes and peak memory does not move.
 pub const TAP_DRAIN_RECORDS: u64 = 1024;
 
@@ -527,20 +411,22 @@ use realm_telemetry::trace_from_env;
 
 impl Sim {
     /// Creates an empty simulator at cycle 0. The kernel honours the
-    /// `REALM_KERNEL` environment variable (`step` forces cycle stepping,
-    /// `islands` the island-ordered stepper); `REALM_SANITIZE=1` arms the
-    /// access sanitizer.
+    /// `REALM_KERNEL` environment variable (see [`KernelMode::from_env`]);
+    /// `REALM_SANITIZE=1` arms the access sanitizer.
+    ///
+    /// # Panics
+    ///
+    /// If `REALM_KERNEL` holds a value [`KernelMode::parse`] rejects.
     pub fn new() -> Self {
         Self {
             pool: ChannelPool::new(),
             components: Vec::new(),
             cycle: 0,
             stats: KernelStats::default(),
-            mode: kernel_mode_from_env(),
+            mode: KernelMode::from_env().unwrap_or_else(|e| panic!("{e}")),
             synced_to: Vec::new(),
             couples: Vec::new(),
             couple_set: BTreeSet::new(),
-            sched: Scheduler::default(),
             violations: Vec::new(),
             violations_dropped: 0,
             sanitize: sanitize_from_env(),
@@ -548,8 +434,6 @@ impl Sim {
             san_violations: Vec::new(),
             san_violations_dropped: 0,
             san_scratch: Vec::new(),
-            islands: Vec::new(),
-            islands_signature: None,
             arena: ArenaSched::default(),
             batch_allowed: Vec::new(),
             profile: Vec::new(),
@@ -581,7 +465,7 @@ impl Sim {
 
     /// Declares that `source`'s tick may mutate state that `dependent`
     /// reads outside any wire (shared registers, `Rc<RefCell<…>>`
-    /// couplings). The event kernel then keeps the pair exact: before
+    /// couplings). The arena kernel then keeps the pair exact: before
     /// `source` ticks, `dependent`'s elided ticks are reconciled, and after
     /// `source` ticks, `dependent` is woken — mirroring what cycle stepping
     /// does implicitly. Wire-only interactions need no coupling.
@@ -792,10 +676,10 @@ impl Sim {
     }
 
     /// The kernel self-profiler's per-component attribution: visits
-    /// (tick/batch_tick calls), batch-covered cycles, delivered wakes, and
-    /// — only when built with the `self-profile` feature — wall-time.
+    /// (tick/batch_tick calls), batch-covered cycles, and — only when built
+    /// with the `self-profile` feature — wall-time.
     ///
-    /// Visit/wake/batch counters are always maintained (one indexed add on
+    /// Visit/batch counters are always maintained (one indexed add on
     /// the paths that already do bookkeeping); the clock reads attributing
     /// wall-time are compiled out without the feature, so a default build
     /// contains no wall-clock reads at all. Profiles are *kernel-dependent*
@@ -811,14 +695,13 @@ impl Sim {
                 name: component.name().to_owned(),
                 visits: self.profile[i].visits,
                 batch_cycles: self.profile[i].batch_cycles,
-                wakes: self.sched.wakes.get(i).copied().unwrap_or(0),
                 wall_ns: self.profile[i].wall_ns,
             })
             .collect()
     }
 
     /// Advances the simulation by one cycle, ticking every component once
-    /// (the reference kernel). Interleaves exactly with event-driven runs:
+    /// (the reference kernel). Interleaves exactly with arena runs:
     /// components a previous run left fast-forwarded are reconciled here.
     pub fn step(&mut self) {
         self.ensure_sanitizer();
@@ -833,32 +716,7 @@ impl Sim {
         self.drain_sanitizer();
     }
 
-    /// Advances one cycle under the island kernel: every component ticks,
-    /// but the walk goes island by island (each island's members in
-    /// registration order) instead of flat registration order. Because no
-    /// wire, couple, or declared endpoint crosses an island boundary, the
-    /// islands cannot observe each other's intra-cycle ordering and the
-    /// result is bit-identical to [`Sim::step`] — the runtime cash-in of
-    /// the static dependence analysis (CI-gated on all experiments).
-    fn step_islands(&mut self) {
-        self.ensure_islands();
-        self.ensure_sanitizer();
-        let cycle = self.cycle;
-        let islands = std::mem::take(&mut self.islands);
-        for island in &islands {
-            for &index in island {
-                self.tick_component(index, cycle);
-            }
-        }
-        self.islands = islands;
-        self.pool.set_owner(None);
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.stats.component_ticks += self.components.len() as u64;
-        self.drain_sanitizer();
-    }
-
-    /// Reconciles and ticks one component at `cycle` (stepping kernels).
+    /// Reconciles and ticks one component at `cycle` (stepping kernel).
     fn tick_component(&mut self, index: usize, cycle: Cycle) {
         if self.synced_to[index] < cycle {
             self.components[index].on_fast_forward(self.synced_to[index], cycle);
@@ -888,9 +746,9 @@ impl Sim {
     }
 
     /// Ticks every [tap observer](Component::tap_observer) once, folding
-    /// all undrained tap records in one pass — the event and arena
-    /// kernels' replacement for per-cycle observer ticks. A no-op while
-    /// the backlog is empty, since an observer's tick only drains taps.
+    /// all undrained tap records in one pass — the arena kernel's
+    /// replacement for per-cycle observer ticks. A no-op while the backlog
+    /// is empty, since an observer's tick only drains taps.
     fn drain_observers(&mut self) {
         if self.pool.tap_backlog() == 0 {
             return;
@@ -899,19 +757,6 @@ impl Sim {
             self.visit(self.observers[k], self.cycle);
         }
         self.pool.set_owner(None);
-    }
-
-    /// Recomputes the island partition if the topology changed.
-    fn ensure_islands(&mut self) {
-        let signature = (
-            self.components.len(),
-            self.pool.wire_count(),
-            self.couples.len(),
-        );
-        if self.islands_signature != Some(signature) {
-            self.islands = self.topology().islands();
-            self.islands_signature = Some(signature);
-        }
     }
 
     /// Rebuilds the pool's sanitizer tables if the sanitizer is armed and
@@ -1018,8 +863,8 @@ impl Sim {
     /// [`Sim::run_until_clamped`] when the predicate watches the clock.
     ///
     /// The predicate must not read a
-    /// [tap observer](Component::tap_observer): the event and arena
-    /// kernels drain those in bulk, so mid-run they lag the simulation.
+    /// [tap observer](Component::tap_observer): the arena kernel drains
+    /// those in bulk, so mid-run they lag the simulation.
     /// They are exact again once `run_until` returns.
     pub fn run_until<F: FnMut(&Sim) -> bool>(&mut self, max_cycles: u64, mut done: F) -> bool {
         self.drive(max_cycles, Some(&mut done), None)
@@ -1038,7 +883,8 @@ impl Sim {
         self.drive(max_cycles, Some(&mut done), Some(boundary))
     }
 
-    /// The shared driver behind [`Sim::run`]/[`Sim::run_until`].
+    /// The shared driver behind [`Sim::run`]/[`Sim::run_until`]: stepping,
+    /// or the arena kernel's mask scheduler plus batch windows.
     fn drive<F: FnMut(&Sim) -> bool>(
         &mut self,
         max_cycles: u64,
@@ -1046,28 +892,19 @@ impl Sim {
         clamp: Option<Cycle>,
     ) -> bool {
         let target = self.cycle + max_cycles;
-        // Arena needs one mask bit per component; larger systems fall back
-        // to the event kernel, which shares its observable semantics.
-        let arena = self.mode == KernelMode::Arena && self.components.len() <= 64;
-        if matches!(self.mode, KernelMode::Step | KernelMode::Islands) {
+        if self.mode == KernelMode::Step {
             while self.cycle < target {
                 if let Some(done) = done.as_mut() {
                     if done(self) {
                         return true;
                     }
                 }
-                match self.mode {
-                    KernelMode::Islands => self.step_islands(),
-                    _ => self.step(),
-                }
+                self.step();
             }
             return match done {
                 Some(done) => done(self),
                 None => false,
             };
-        }
-        if arena {
-            return self.drive_arena(target, done, clamp);
         }
 
         self.prepare_run();
@@ -1088,17 +925,26 @@ impl Sim {
             if self.cycle >= target {
                 break;
             }
-            self.pop_due();
-            if self.sched.due_count > 0 {
+            if self.arena.wake_min <= self.cycle {
+                self.merge_far_wakes();
+            }
+            if self.arena.due != 0 {
+                // Windows only in predicate-free runs: `run_until` checks
+                // its predicate before every processed cycle, and a window
+                // advancing several cycles at once could overshoot the
+                // exact stop cycle a stepped run would report.
+                if done.is_none() && !self.batch_allowed.is_empty() {
+                    if let Some(window) = self.batch_window(target, clamp) {
+                        self.run_batch_window(window);
+                        continue;
+                    }
+                }
                 self.process_cycle();
                 continue;
             }
-            // Nothing due at the current cycle: jump to the earliest
-            // pending wake, bounded by the run target and the clamp.
-            let next = match self.sched.heap.peek() {
-                Some(&Reverse((at, _))) => at.min(target),
-                None => target,
-            };
+            // Nothing due: jump to the earliest pending far wake, bounded
+            // by the run target and the clamp.
+            let next = self.arena.wake_min.min(target);
             let jump = match clamp {
                 Some(boundary) if boundary > self.cycle => next.min(boundary),
                 _ => next,
@@ -1117,55 +963,87 @@ impl Sim {
         }
     }
 
-    /// Rebuilds wake tables if the topology changed, clears all pending
-    /// wakes, and marks every component due at the current cycle. Starting
-    /// a run from the all-due state re-synchronises any state mutated from
-    /// outside (direct `component_mut` access, pool pushes between runs)
-    /// exactly as the stepping kernel would see it.
+    /// Recompiles the schedule if the topology changed, clears all pending
+    /// wakes, and marks every scheduled component due at the current
+    /// cycle. Starting a run from the all-due state re-synchronises any
+    /// state mutated from outside (direct `component_mut` access, pool
+    /// pushes between runs) exactly as the stepping kernel would see it.
     fn prepare_run(&mut self) {
         self.ensure_sanitizer();
-        // A previous arena run may have left wake masks armed; the event
-        // kernel derives wakes from the event log instead.
-        if self.pool.wake_armed() {
-            self.pool.set_wake_tables(None);
-        }
         let signature = (
             self.components.len(),
             self.pool.wire_count(),
             self.couples.len(),
         );
-        if self.sched.signature != signature {
-            self.rebuild_scheduler();
-            self.sched.signature = signature;
+        if self.arena.signature != signature || !self.pool.wake_armed() {
+            self.rebuild_schedule();
+            self.arena.signature = signature;
         }
-        self.sched.heap.clear();
-        self.sched.next_list.clear();
-        for f in &mut self.sched.next_flags {
-            *f = false;
+        let positions = self.arena.order.len();
+        let all = if positions >= MAX_POSITIONS {
+            !0u64
+        } else {
+            (1u64 << positions) - 1
+        };
+        self.arena.due = all;
+        // Beats pushed from outside any run become visible one cycle in:
+        // give every component a look at both of the first two cycles,
+        // then let the hints take over.
+        self.arena.due_next = if self.pool.total_in_flight() > 0 {
+            all
+        } else {
+            0
+        };
+        for at in &mut self.arena.wake_at {
+            *at = NEVER;
         }
-        for s in &mut self.sched.scheduled {
-            *s = NEVER;
-        }
-        self.sched.due_count = 0;
-        let in_flight = self.pool.total_in_flight() > 0;
-        for j in 0..self.components.len() {
-            self.sched.due[j] = false;
-            if self.sched.is_observer[j] {
-                continue;
-            }
-            self.sched.mark_due(j);
-            // Beats pushed from outside any run (no wake recording) become
-            // visible one cycle in: give every component a look at both of
-            // the first two cycles, then let the hints take over.
-            if in_flight {
-                self.sched.schedule(j, self.cycle + 1, self.cycle);
-            }
-        }
-        self.pool.set_recording(false);
+        self.arena.wake_min = NEVER;
+        self.pool.begin_actor(u32::MAX);
+        // Wake accumulation from pushes between runs carries no information
+        // beyond the all-due start; drop it along with its event count.
+        let _ = self.pool.take_wakes();
+        let _ = self.pool.take_wake_events();
     }
 
-    fn rebuild_scheduler(&mut self) {
+    /// Compiles the island-major schedule and the per-wire wake masks.
+    ///
+    /// # Panics
+    ///
+    /// If more than [`MAX_POSITIONS`] components are not tap observers.
+    fn rebuild_schedule(&mut self) {
         let n = self.components.len();
+        let positions = n - self.observers.len();
+        assert!(
+            positions <= MAX_POSITIONS,
+            "arena kernel: {positions} schedule positions exceed the limit of \
+             {MAX_POSITIONS} (every component but a tap observer takes one)"
+        );
+        // Island-major order: each island's members in registration order.
+        // Islands share no wire or couple, so the reordering is
+        // unobservable. Tap observers take no position: they are drained
+        // in bulk, never due.
+        let mut is_observer = vec![false; n];
+        for &i in &self.observers {
+            is_observer[i] = true;
+        }
+        let order: Vec<u32> = self
+            .topology()
+            .islands()
+            .into_iter()
+            .flatten()
+            .filter(|&i| !is_observer[i])
+            .map(|i| i as u32)
+            .collect();
+        debug_assert_eq!(
+            order.len(),
+            positions,
+            "partition must cover every component"
+        );
+        let mut pos_of = vec![0u32; n];
+        for (pos, &i) in order.iter().enumerate() {
+            pos_of[i as usize] = pos as u32;
+        }
+
         let counts = self.pool.wire_counts();
         let mut slot_base = [0usize; CHANNEL_SLOTS];
         let mut total_wires = 0;
@@ -1173,20 +1051,16 @@ impl Sim {
             slot_base[slot] = total_wires;
             total_wires += wires;
         }
-        let mut endpoints: Vec<Vec<u32>> = vec![Vec::new(); total_wires];
-        let mut consume = vec![Vec::new(); n];
-        let mut opaque = Vec::new();
-        let mut is_opaque = vec![false; n];
-        let mut is_observer = vec![false; n];
-        for (i, component) in self.components.iter().enumerate() {
-            if component.tap_observer() {
-                is_observer[i] = true; // no wire wakes: drained in bulk
-                continue;
-            }
-            let ports = component.ports();
+        let mut all = vec![0u64; total_wires];
+        let mut active = vec![0u64; total_wires]; // drive/consume endpoints
+        let mut opaque_mask = 0u64;
+        let mut consume = vec![Vec::new(); positions];
+        let mut touched = vec![Vec::new(); positions]; // non-observe flats per position
+        for (pos, &i) in order.iter().enumerate() {
+            let bit = 1u64 << pos;
+            let ports = self.components[i as usize].ports();
             if ports.is_empty() {
-                opaque.push(i as u32);
-                is_opaque[i] = true;
+                opaque_mask |= bit;
                 continue;
             }
             for port in ports {
@@ -1196,63 +1070,77 @@ impl Sim {
                 if port.wire >= counts[slot] {
                     continue; // dangling declaration; realm-lint reports it
                 }
-                let peers = &mut endpoints[slot_base[slot] + port.wire];
-                if !peers.contains(&(i as u32)) {
-                    peers.push(i as u32);
-                }
-                if port.dir == PortDir::Consume {
-                    let key = (slot, port.wire);
-                    if !consume[i].contains(&key) {
-                        consume[i].push(key);
+                let flat = slot_base[slot] + port.wire;
+                all[flat] |= bit;
+                match port.dir {
+                    PortDir::Drive => {
+                        active[flat] |= bit;
+                        touched[pos].push(flat);
                     }
+                    PortDir::Consume => {
+                        active[flat] |= bit;
+                        touched[pos].push(flat);
+                        let key = (slot, port.wire);
+                        if !consume[pos].contains(&key) {
+                            consume[pos].push(key);
+                        }
+                    }
+                    PortDir::Observe => {}
                 }
             }
         }
-        let mut endpoint_ranges = Vec::with_capacity(total_wires);
-        let mut endpoint_list = Vec::new();
-        for peers in &endpoints {
-            let start = endpoint_list.len() as u32;
-            endpoint_list.extend_from_slice(peers);
-            endpoint_ranges.push((start, endpoint_list.len() as u32));
-        }
-        let mut dependents = vec![Vec::new(); n];
+        let peers: Vec<u64> = touched
+            .iter()
+            .map(|flats| flats.iter().fold(0u64, |acc, &f| acc | active[f]))
+            .collect();
+        let mut dependents = vec![Vec::new(); positions];
         for &(source, dependent) in &self.couples {
-            let dep = dependent as u32;
-            if !dependents[source].contains(&dep) {
-                dependents[source].push(dep);
+            // A tap observer is never coupled (its contract); skip rather
+            // than give it a position.
+            if is_observer[source] || is_observer[dependent] {
+                continue;
+            }
+            let (sp, dp) = (pos_of[source] as usize, pos_of[dependent]);
+            if !dependents[sp].contains(&dp) {
+                dependents[sp].push(dp);
             }
         }
-        self.sched.endpoint_ranges = endpoint_ranges;
-        self.sched.endpoint_list = endpoint_list;
-        self.sched.slot_base = slot_base;
-        self.sched.consume = consume;
-        self.sched.opaque = opaque;
-        self.sched.is_opaque = is_opaque;
-        self.sched.is_observer = is_observer;
-        self.sched.dependents = dependents;
-        self.sched.due = vec![false; n];
-        self.sched.due_count = 0;
-        self.sched.next_flags = vec![false; n];
-        self.sched.next_list.clear();
-        self.sched.scheduled = vec![NEVER; n];
-        self.sched.heap.clear();
-        // Wake attribution survives rebuilds: a rebuild only means the
-        // topology grew, not that a new run started.
-        self.sched.wakes.resize(n, 0);
+        self.arena.order = order;
+        self.arena.opaque_mask = opaque_mask;
+        self.arena.consume = consume;
+        self.arena.dependents = dependents;
+        self.arena.peers = peers;
+        self.arena.wake_at = vec![NEVER; positions];
+        self.arena.wake_min = NEVER;
+        self.pool
+            .set_wake_tables(Box::new(WakeTables { slot_base, all }));
     }
 
-    /// Moves heap wakes that have come due at the current cycle into the
-    /// dirty-set.
-    fn pop_due(&mut self) {
-        while let Some(&Reverse((at, j))) = self.sched.heap.peek() {
-            if at > self.cycle {
-                break;
+    /// Pulls far wakes that have come due into the due mask and re-derives
+    /// the exact minimum (the stored one may be a stale lower bound).
+    fn merge_far_wakes(&mut self) {
+        let cycle = self.cycle;
+        let mut min = NEVER;
+        for (pos, at) in self.arena.wake_at.iter_mut().enumerate() {
+            if *at <= cycle {
+                self.arena.due |= 1u64 << pos;
+                *at = NEVER;
+            } else if *at < min {
+                min = *at;
             }
-            self.sched.heap.pop();
-            let j = j as usize;
-            debug_assert!(at == self.cycle, "wake left behind in the heap");
-            if self.sched.scheduled[j] == at {
-                self.sched.mark_due(j);
+        }
+        self.arena.wake_min = min;
+    }
+
+    /// Books a wake at `at` (strictly after `current`) for the component
+    /// at schedule position `pos`.
+    fn schedule(&mut self, pos: usize, bit: u64, at: Cycle, current: Cycle) {
+        if at == current + 1 {
+            self.arena.due_next |= bit;
+        } else if at < self.arena.wake_at[pos] {
+            self.arena.wake_at[pos] = at;
+            if at < self.arena.wake_min {
+                self.arena.wake_min = at;
             }
         }
     }
@@ -1302,406 +1190,8 @@ impl Sim {
     /// reacted to state no declared wire or couple edge carries.
     fn poll_missed_wakes(&mut self) {
         let cycle = self.cycle;
-        for i in 0..self.components.len() {
-            if self.sched.due[i] || self.sched.is_observer[i] {
-                continue;
-            }
-            if let Some(hint) = self.components[i].next_event(cycle) {
-                if hint <= cycle {
-                    self.record_violation(i, cycle, hint, ViolationKind::MissedWake);
-                    if self.sanitize {
-                        self.record_san_violation(RawSanViolation {
-                            component: i,
-                            cycle,
-                            channel: "-",
-                            wire: 0,
-                            kind: SanitizerKind::UndeclaredWake,
-                        });
-                    }
-                    self.sched.mark_due(i);
-                }
-            }
-        }
-    }
-
-    /// Executes one cycle: ticks exactly the due components in registration
-    /// order, turns their wire activity into wakes, and re-arms their
-    /// `next_event` hints.
-    fn process_cycle(&mut self) {
-        if cfg!(debug_assertions) || self.sanitize {
-            self.poll_missed_wakes();
-        }
-
-        let cycle = self.cycle;
-        let n = self.components.len();
-        let mut ticked: u64 = 0;
-        self.pool.set_recording(true);
-        let mut i = 0;
-        while i < n {
-            if !self.sched.due[i] {
-                i += 1;
-                continue;
-            }
-            self.sched.due[i] = false;
-            self.sched.due_count -= 1;
-
-            // Shared-state couplings: reconcile each dependent before this
-            // tick reads or writes the shared state. A dependent earlier in
-            // tick order has had its turn this cycle, so its tick at
-            // `cycle` is elided under the pre-write state.
-            for k in 0..self.sched.dependents[i].len() {
-                let d = self.sched.dependents[i][k] as usize;
-                let to = if d < i { cycle + 1 } else { cycle };
-                self.flush_component(d, to);
-            }
-
-            self.flush_component(i, cycle);
-            self.synced_to[i] = cycle + 1;
-            self.sched.scheduled[i] = if self.sched.next_flags[i] {
-                cycle + 1
-            } else {
-                NEVER
-            };
-
-            self.visit(i, cycle);
-            ticked += 1;
-
-            // Wire activity → wakes. A push is visible to peers from the
-            // next cycle (register per hop); peers later in tick order also
-            // get a same-cycle look, as a stepped tick after the pusher
-            // would. A pop frees capacity usable by peers from the next
-            // cycle, or this cycle for later peers.
-            self.pool.drain_events_into(&mut self.sched.events);
-            let n_events = self.sched.events.len();
-            if n_events > 0 {
-                self.stats.wire_events += n_events as u64;
-                for k in 0..n_events {
-                    let event = self.sched.events[k];
-                    self.sched.wake_endpoints(event, i, cycle);
-                }
-                self.sched.wake_opaque(i, cycle);
-                self.sched.events.clear();
-            }
-
-            // Coupled dependents observe the write next cycle, or this
-            // cycle if they tick after the writer — exactly as stepping.
-            for k in 0..self.sched.dependents[i].len() {
-                let d = self.sched.dependents[i][k] as usize;
-                self.sched.wakes[d] += 1;
-                if d > i {
-                    self.sched.mark_due(d);
-                } else {
-                    self.sched.schedule(d, cycle + 1, cycle);
-                }
-            }
-
-            // Re-arm the component's own wake hint — unless a wire wake has
-            // already booked it for the next cycle, in which case no hint
-            // (necessarily `>= cycle + 1`) could add anything and the
-            // virtual call is skipped outright. Saturated pipelines take
-            // this shortcut for most ticks.
-            if self.sched.scheduled[i] != cycle + 1 {
-                match self.components[i].next_event(cycle + 1) {
-                    None => {}
-                    Some(hint) if hint <= cycle => {
-                        self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
-                        self.sched.schedule(i, cycle + 1, cycle);
-                    }
-                    Some(hint) => self.sched.schedule(i, hint, cycle),
-                }
-            }
-
-            // A consumer may pop at most one beat per wire per cycle (and
-            // may decline): while any of its input wires holds beats, the
-            // component decides via `backlog_event` when the next pop could
-            // happen (the default: right away). Opaque components get the
-            // conservative whole-pool version of the same rule. Skipped
-            // outright when the component is already booked for the next
-            // cycle — the strongest answer backlog could produce.
-            if self.sched.scheduled[i] != cycle + 1 {
-                let backlog = if self.sched.is_opaque[i] {
-                    self.pool.total_in_flight() > 0
-                } else {
-                    self.sched.consume[i]
-                        .iter()
-                        .any(|&(slot, wire)| self.pool.slot_len(slot, wire) > 0)
-                };
-                if backlog {
-                    match self.components[i].backlog_event(cycle + 1) {
-                        None => {}
-                        Some(hint) if hint <= cycle => {
-                            self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
-                            self.sched.schedule(i, cycle + 1, cycle);
-                        }
-                        Some(hint) => self.sched.schedule(i, hint, cycle),
-                    }
-                }
-            }
-
-            i += 1;
-        }
-        self.pool.set_owner(None);
-        self.pool.set_recording(false);
-        self.drain_sanitizer();
-        debug_assert_eq!(self.sched.due_count, 0, "due component not visited");
-
-        self.cycle = cycle + 1;
-        self.stats.ticks_executed += 1;
-        self.stats.component_ticks += ticked;
-        self.stats.component_skips += n as u64 - ticked;
-
-        // Roll the next-cycle fast path into the dirty-set.
-        let next_list = std::mem::take(&mut self.sched.next_list);
-        for &j in &next_list {
-            let j = j as usize;
-            self.sched.next_flags[j] = false;
-            self.sched.mark_due(j);
-        }
-        let mut next_list = next_list;
-        next_list.clear();
-        self.sched.next_list = next_list;
-    }
-
-    /// Installs the batching plan: `allowed[i]` says whether the component
-    /// registered at index `i` may stream through batch windows (see
-    /// [`Component::batch_horizon`]). The plan comes from static analysis —
-    /// `realm-lint` marks a component batchable only when every wire it
-    /// drives or consumes is an uncontended point-to-point path — so the
-    /// kernel never has to second-guess a horizon's wire footprint. An
-    /// empty plan (the default) disables batching entirely.
-    pub fn set_batch_plan(&mut self, allowed: Vec<bool>) {
-        self.batch_allowed = allowed;
-    }
-
-    /// The installed batching plan (empty = batching off).
-    pub fn batch_plan(&self) -> &[bool] {
-        &self.batch_allowed
-    }
-
-    /// The arena-kernel driver behind [`Sim::drive`]: mask scheduler plus
-    /// batch windows. Bit-identical to the event and stepping kernels in
-    /// every observable.
-    fn drive_arena<F: FnMut(&Sim) -> bool>(
-        &mut self,
-        target: Cycle,
-        mut done: Option<&mut F>,
-        clamp: Option<Cycle>,
-    ) -> bool {
-        self.prepare_arena_run();
-        let n = self.components.len() as u64;
-        loop {
-            if self.pool.tap_backlog() >= TAP_DRAIN_RECORDS {
-                self.drain_observers();
-            }
-            if let Some(done) = done.as_mut() {
-                self.flush_all(self.cycle);
-                if done(self) {
-                    self.drain_observers();
-                    return true;
-                }
-            }
-            if self.cycle >= target {
-                break;
-            }
-            if self.arena.wake_min <= self.cycle {
-                self.merge_far_wakes();
-            }
-            if self.arena.due != 0 {
-                // Windows only in predicate-free runs: `run_until` checks
-                // its predicate before every processed cycle, and a window
-                // advancing several cycles at once could overshoot the
-                // exact stop cycle a stepped run would report.
-                if done.is_none() && !self.batch_allowed.is_empty() {
-                    if let Some(window) = self.batch_window(target, clamp) {
-                        self.run_batch_window(window);
-                        continue;
-                    }
-                }
-                self.process_cycle_arena();
-                continue;
-            }
-            // Nothing due: jump to the earliest pending far wake, bounded
-            // by the run target and the clamp.
-            let next = self.arena.wake_min.min(target);
-            let jump = match clamp {
-                Some(boundary) if boundary > self.cycle => next.min(boundary),
-                _ => next,
-            };
-            debug_assert!(jump > self.cycle, "jump must make progress");
-            self.stats.cycles_skipped += jump - self.cycle;
-            self.stats.component_skips += (jump - self.cycle) * n;
-            self.stats.fast_forwards += 1;
-            self.cycle = jump;
-        }
-        self.flush_all(self.cycle);
-        self.drain_observers();
-        match done {
-            Some(done) => done(self),
-            None => false,
-        }
-    }
-
-    /// Recompiles the schedule if the topology changed, arms the pool's
-    /// wake masks, and marks every component due — the same all-due
-    /// re-synchronisation the event kernel performs at run start.
-    fn prepare_arena_run(&mut self) {
-        self.ensure_sanitizer();
-        let signature = (
-            self.components.len(),
-            self.pool.wire_count(),
-            self.couples.len(),
-        );
-        if self.arena.signature != signature || !self.pool.wake_armed() {
-            self.rebuild_arena();
-            self.arena.signature = signature;
-        }
-        let n = self.components.len();
-        let all = if n >= 64 { !0u64 } else { (1u64 << n) - 1 };
-        let live = all & !self.arena.observer_mask;
-        self.arena.due = live;
-        // Beats pushed from outside any run become visible one cycle in:
-        // give every component a look at both of the first two cycles.
-        self.arena.due_next = if self.pool.total_in_flight() > 0 {
-            live
-        } else {
-            0
-        };
-        for at in &mut self.arena.wake_at {
-            *at = NEVER;
-        }
-        self.arena.wake_min = NEVER;
-        self.pool.set_recording(false);
-        self.pool.begin_actor(u32::MAX);
-        // Wake accumulation from pushes between runs carries no information
-        // beyond the all-due start; drop it along with its event count.
-        let _ = self.pool.take_wakes();
-        let _ = self.pool.take_wake_events();
-    }
-
-    /// Compiles the island-major schedule and the per-wire wake masks.
-    fn rebuild_arena(&mut self) {
-        let n = self.components.len();
-        assert!(n <= 64, "arena kernel supports at most 64 components");
-        // Island-major order: each island's members in registration order —
-        // the islands kernel's walk, whose reordering is unobservable.
-        let islands = self.topology().islands();
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        for island in &islands {
-            order.extend(island.iter().map(|&i| i as u32));
-        }
-        debug_assert_eq!(order.len(), n, "partition must cover every component");
-        let mut pos_of = vec![0u32; n];
-        for (pos, &i) in order.iter().enumerate() {
-            pos_of[i as usize] = pos as u32;
-        }
-
-        let counts = self.pool.wire_counts();
-        let mut slot_base = [0usize; CHANNEL_SLOTS];
-        let mut total_wires = 0;
-        for (slot, &wires) in counts.iter().enumerate() {
-            slot_base[slot] = total_wires;
-            total_wires += wires;
-        }
-        let mut all = vec![0u64; total_wires];
-        let mut active = vec![0u64; total_wires]; // drive/consume endpoints
-        let mut opaque_mask = 0u64;
-        let mut observer_mask = 0u64;
-        let mut consume = vec![Vec::new(); n];
-        let mut touched = vec![Vec::new(); n]; // non-observe flats per position
-        for (i, component) in self.components.iter().enumerate() {
-            let pos = pos_of[i] as usize;
-            let bit = 1u64 << pos;
-            if component.tap_observer() {
-                observer_mask |= bit; // no wire wakes: drained in bulk
-                continue;
-            }
-            let ports = component.ports();
-            if ports.is_empty() {
-                opaque_mask |= bit;
-                continue;
-            }
-            for port in ports {
-                let Some(slot) = channel_slot(port.channel) else {
-                    continue;
-                };
-                if port.wire >= counts[slot] {
-                    continue; // dangling declaration; realm-lint reports it
-                }
-                let flat = slot_base[slot] + port.wire;
-                all[flat] |= bit;
-                match port.dir {
-                    PortDir::Drive => {
-                        active[flat] |= bit;
-                        touched[pos].push(flat);
-                    }
-                    PortDir::Consume => {
-                        active[flat] |= bit;
-                        touched[pos].push(flat);
-                        let key = (slot, port.wire);
-                        if !consume[pos].contains(&key) {
-                            consume[pos].push(key);
-                        }
-                    }
-                    PortDir::Observe => {}
-                }
-            }
-        }
-        let peers: Vec<u64> = touched
-            .iter()
-            .map(|flats| flats.iter().fold(0u64, |acc, &f| acc | active[f]))
-            .collect();
-        let mut dependents = vec![Vec::new(); n];
-        for &(source, dependent) in &self.couples {
-            let (sp, dp) = (pos_of[source] as usize, pos_of[dependent]);
-            if !dependents[sp].contains(&dp) {
-                dependents[sp].push(dp);
-            }
-        }
-        self.arena.order = order;
-        self.arena.opaque_mask = opaque_mask;
-        self.arena.observer_mask = observer_mask;
-        self.arena.consume = consume;
-        self.arena.dependents = dependents;
-        self.arena.peers = peers;
-        self.arena.wake_at = vec![NEVER; n];
-        self.arena.wake_min = NEVER;
-        self.pool
-            .set_wake_tables(Some(Box::new(WakeTables { slot_base, all })));
-    }
-
-    /// Pulls far wakes that have come due into the due mask and re-derives
-    /// the exact minimum (the stored one may be a stale lower bound).
-    fn merge_far_wakes(&mut self) {
-        let cycle = self.cycle;
-        let mut min = NEVER;
-        for (pos, at) in self.arena.wake_at.iter_mut().enumerate() {
-            if *at <= cycle {
-                self.arena.due |= 1u64 << pos;
-                *at = NEVER;
-            } else if *at < min {
-                min = *at;
-            }
-        }
-        self.arena.wake_min = min;
-    }
-
-    /// Books a wake for the component at schedule position `pos`.
-    fn arena_schedule(&mut self, pos: usize, bit: u64, at: Cycle, current: Cycle) {
-        if at == current + 1 {
-            self.arena.due_next |= bit;
-        } else if at < self.arena.wake_at[pos] {
-            self.arena.wake_at[pos] = at;
-            if at < self.arena.wake_min {
-                self.arena.wake_min = at;
-            }
-        }
-    }
-
-    /// The arena twin of [`Sim::poll_missed_wakes`], over the due mask.
-    fn poll_missed_wakes_arena(&mut self) {
-        let cycle = self.cycle;
-        for pos in 0..self.components.len() {
-            if (self.arena.due | self.arena.observer_mask) & (1u64 << pos) != 0 {
+        for pos in 0..self.arena.order.len() {
+            if self.arena.due & (1u64 << pos) != 0 {
                 continue;
             }
             let i = self.arena.order[pos] as usize;
@@ -1723,12 +1213,12 @@ impl Sim {
         }
     }
 
-    /// Executes one cycle under the mask scheduler: exactly the event
-    /// kernel's wake semantics, with every set a `u64` and wire activity
-    /// read from the pool's accumulators.
-    fn process_cycle_arena(&mut self) {
+    /// Executes one cycle: ticks exactly the due components in schedule
+    /// order, turns their wire activity (read from the pool's wake-mask
+    /// accumulators) into wakes, and re-arms their `next_event` hints.
+    fn process_cycle(&mut self) {
         if cfg!(debug_assertions) || self.sanitize {
-            self.poll_missed_wakes_arena();
+            self.poll_missed_wakes();
         }
         let cycle = self.cycle;
         let n = self.components.len();
@@ -1741,7 +1231,9 @@ impl Sim {
             let i = self.arena.order[pos] as usize;
 
             // Shared-state couplings: reconcile each dependent before this
-            // tick reads or writes the shared state (see process_cycle).
+            // tick reads or writes the shared state. A dependent earlier in
+            // schedule order has had its turn this cycle, so its tick at
+            // `cycle` is elided under the pre-write state.
             for k in 0..self.arena.dependents[pos].len() {
                 let dp = self.arena.dependents[pos][k] as usize;
                 let d = self.arena.order[dp] as usize;
@@ -1758,13 +1250,20 @@ impl Sim {
             self.visit(i, cycle);
             ticked += 1;
 
-            // Wire activity → wakes, accumulated by the pool as masks.
+            // Wire activity → wakes, accumulated by the pool as masks. A
+            // push is visible to peers from the next cycle (register per
+            // hop); peers later in schedule order also get a same-cycle
+            // look, as a stepped tick after the pusher would. A pop frees
+            // capacity usable by peers from the next cycle, or this cycle
+            // for later peers.
             let (now, next, any) = self.pool.take_wakes();
             due |= now;
             self.arena.due_next |= next;
             if any && self.arena.opaque_mask != 0 {
-                // Opaque components: due now for later positions, next
-                // cycle always — the event kernel's combined opaque wake.
+                // Opaque components: any wire activity may matter to them.
+                // One combined wake per tick (due now for later positions,
+                // next cycle always) over-approximates the push/pop rules —
+                // extra ticks are always exact.
                 due |= self.arena.opaque_mask & !(bit | (bit - 1));
                 self.arena.due_next |= self.arena.opaque_mask & !bit;
             }
@@ -1780,7 +1279,10 @@ impl Sim {
                 }
             }
 
-            // Re-arm the wake hint unless already booked for next cycle.
+            // Re-arm the wake hint — unless a wire wake has already booked
+            // the component for the next cycle, in which case no hint
+            // (necessarily `>= cycle + 1`) could add anything and the
+            // virtual call is skipped outright.
             if self.arena.due_next & bit == 0 {
                 match self.components[i].next_event(cycle + 1) {
                     None => {}
@@ -1788,10 +1290,14 @@ impl Sim {
                         self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
                         self.arena.due_next |= bit;
                     }
-                    Some(hint) => self.arena_schedule(pos, bit, hint, cycle),
+                    Some(hint) => self.schedule(pos, bit, hint, cycle),
                 }
             }
-            // Parked backlog on Consume wires keeps the consumer live.
+            // A consumer may pop at most one beat per wire per cycle (and
+            // may decline): while any of its input wires holds beats, the
+            // component decides via `backlog_event` when the next pop could
+            // happen (the default: right away). Opaque components get the
+            // conservative whole-pool version of the same rule.
             if self.arena.due_next & bit == 0 {
                 let backlog = if self.arena.opaque_mask & bit != 0 {
                     self.pool.total_in_flight() > 0
@@ -1807,7 +1313,7 @@ impl Sim {
                             self.record_violation(i, cycle, hint, ViolationKind::StaleHint);
                             self.arena.due_next |= bit;
                         }
-                        Some(hint) => self.arena_schedule(pos, bit, hint, cycle),
+                        Some(hint) => self.schedule(pos, bit, hint, cycle),
                     }
                 }
             }
@@ -1821,6 +1327,22 @@ impl Sim {
         self.stats.component_ticks += ticked;
         self.stats.component_skips += n as u64 - ticked;
         self.arena.due = std::mem::take(&mut self.arena.due_next);
+    }
+
+    /// Installs the batching plan: `allowed[i]` says whether the component
+    /// registered at index `i` may stream through batch windows (see
+    /// [`Component::batch_horizon`]). The plan comes from static analysis —
+    /// `realm-lint` marks a component batchable only when every wire it
+    /// drives or consumes is an uncontended point-to-point path — so the
+    /// kernel never has to second-guess a horizon's wire footprint. An
+    /// empty plan (the default) disables batching entirely.
+    pub fn set_batch_plan(&mut self, allowed: Vec<bool>) {
+        self.batch_allowed = allowed;
+    }
+
+    /// The installed batching plan (empty = batching off).
+    pub fn batch_plan(&self) -> &[bool] {
+        &self.batch_allowed
     }
 
     /// Decides whether a batch window can start at the current cycle and
@@ -2085,7 +1607,7 @@ mod tests {
         assert!(s.contains("components: 2"));
     }
 
-    /// Step-kernel and event-kernel accounting both cover every cycle.
+    /// Step-kernel and arena-kernel accounting both cover every cycle.
     #[test]
     fn component_tick_accounting_is_exhaustive() {
         let (mut sim, ..) = build();
@@ -2104,7 +1626,7 @@ mod tests {
         assert_eq!(s.component_skips, 0);
     }
 
-    /// Mixed driving — explicit steps between event-driven runs — stays
+    /// Mixed driving — explicit steps between arena runs — stays
     /// consistent: state and cycle match an all-stepped twin.
     #[test]
     fn step_and_run_interleave() {
@@ -2136,7 +1658,7 @@ mod tests {
         }
         let mut sim = Sim::new();
         sim.add(Sleeper);
-        // Nothing ever happens: the event kernel jumps straight to the
+        // Nothing ever happens: the arena kernel jumps straight to the
         // target, so a `cycle == 500` predicate never observes 500…
         assert!(!sim.run_until(1_000, |s| s.cycle() == 500));
         assert_eq!(sim.cycle(), 1_000);
@@ -2182,7 +1704,7 @@ mod tests {
     }
 
     /// Coupled shared state (an `Rc<RefCell<…>>` side channel) stays exact
-    /// under the event kernel when declared via `Sim::couple`.
+    /// under the arena kernel when declared via `Sim::couple`.
     #[test]
     fn coupled_shared_state_matches_stepping() {
         use std::cell::RefCell;
@@ -2243,7 +1765,7 @@ mod tests {
                 .cloned()
                 .collect::<Vec<_>>()
         };
-        let fast = run(KernelMode::Event);
+        let fast = run(KernelMode::Arena);
         // The reader saw the write: it was woken at the writer's cycle.
         assert!(
             fast.iter().any(|&(c, v)| c == 400 && v == 400),
@@ -2387,10 +1909,9 @@ mod tests {
             .any(|i| i.track == "kernel" && i.name.contains("stale-hint:always-stale")));
     }
 
-    /// The self-profiler attributes visits per component under every
-    /// kernel, and the event kernel additionally attributes wakes.
+    /// The self-profiler attributes visits per component.
     #[test]
-    fn profiler_attributes_visits_and_wakes() {
+    fn profiler_attributes_visits() {
         let mut sim = Sim::new();
         let wire = sim.pool_mut().new_wire::<WBeat>(2);
         sim.add(Producer {
@@ -2407,10 +1928,6 @@ mod tests {
         assert_eq!(profile.len(), 2);
         assert!(profile[0].visits >= 5, "producer visits: {profile:?}");
         assert!(profile[1].visits >= 5, "consumer visits: {profile:?}");
-        assert!(
-            profile[1].wakes > 0,
-            "consumer must be woken by pushes: {profile:?}"
-        );
         assert_eq!(profile[0].name, sim.component_name(0).unwrap());
         // Without the self-profile feature no wall-time is attributed.
         #[cfg(not(feature = "self-profile"))]
@@ -2469,12 +1986,12 @@ mod tests {
         assert_eq!(sim.partition(), vec![vec![0, 1], vec![2, 3]]);
     }
 
-    /// The island kernel's island-major walk is unobservable: results are
-    /// bit-identical to flat stepping and to the event kernel, including
-    /// when registration order interleaves the islands (so the walk really
-    /// does reorder ticks across island boundaries).
+    /// The arena kernel's island-major schedule is unobservable: results
+    /// are bit-identical to flat stepping, including when registration
+    /// order interleaves the islands (so the schedule really does reorder
+    /// ticks across island boundaries).
     #[test]
-    fn islands_kernel_matches_stepping() {
+    fn island_major_schedule_matches_stepping() {
         let observe = |mode: KernelMode| {
             let (mut sim, ca, cb) = build_pairs();
             sim.set_kernel_mode(mode);
@@ -2485,11 +2002,10 @@ mod tests {
                 sim.component::<Consumer>(cb).unwrap().received.clone(),
             )
         };
-        assert_eq!(observe(KernelMode::Islands), observe(KernelMode::Step));
-        assert_eq!(observe(KernelMode::Islands), observe(KernelMode::Event));
+        assert_eq!(observe(KernelMode::Arena), observe(KernelMode::Step));
 
-        // Interleaved registration: islands {0,2} and {1,3}, so the island
-        // walk ticks 0,2 then 1,3 — a genuine reorder vs. flat stepping.
+        // Interleaved registration: islands {0,2} and {1,3}, so the arena
+        // schedule ticks 0,2 then 1,3 — a genuine reorder vs. stepping.
         let observe_interleaved = |mode: KernelMode| {
             let mut sim = Sim::new();
             let wa = sim.pool_mut().new_wire::<WBeat>(2);
@@ -2512,7 +2028,7 @@ mod tests {
                 input: wb,
                 received: Vec::new(),
             });
-            if mode == KernelMode::Islands {
+            if mode == KernelMode::Arena {
                 assert_eq!(sim.partition(), vec![vec![0, 2], vec![1, 3]]);
             }
             sim.set_kernel_mode(mode);
@@ -2523,9 +2039,102 @@ mod tests {
             )
         };
         assert_eq!(
-            observe_interleaved(KernelMode::Islands),
+            observe_interleaved(KernelMode::Arena),
             observe_interleaved(KernelMode::Step)
         );
+    }
+
+    /// Only `step` and `arena` select a kernel; anything else — a typo, an
+    /// alias, or a removed kernel — is refused with a message naming the
+    /// variable, the value and the accepted values.
+    #[test]
+    fn kernel_mode_parse_rejects_unknown_values() {
+        assert_eq!(KernelMode::parse("step"), Ok(KernelMode::Step));
+        assert_eq!(KernelMode::parse("arena"), Ok(KernelMode::Arena));
+        for mode in [KernelMode::Step, KernelMode::Arena] {
+            assert_eq!(KernelMode::parse(mode.name()), Ok(mode));
+        }
+        let err = KernelMode::parse("arnea").unwrap_err();
+        assert!(err.contains("REALM_KERNEL"), "{err}");
+        assert!(err.contains("\"arnea\""), "{err}");
+        assert!(err.contains("step, arena"), "{err}");
+        for removed in ["event", "islands", "", "Arena"] {
+            assert!(KernelMode::parse(removed).is_err(), "{removed:?}");
+        }
+    }
+
+    /// A tap observer on one wire: counts the beats its tap recorded.
+    struct TapCounter {
+        wire: WireId<WBeat>,
+        seen: Vec<(Cycle, u64)>,
+    }
+    impl Component for TapCounter {
+        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+            let records = ctx.pool.tap(self.wire);
+            self.seen.extend(records.iter().map(|(c, b)| (*c, b.data)));
+            ctx.pool.clear_tap(self.wire);
+        }
+        fn tap_observer(&self) -> bool {
+            true
+        }
+    }
+
+    /// Tap observers take no schedule position: 32 producer/consumer pairs
+    /// (64 positions) plus a tap observer on every wire (96 components)
+    /// run under the arena kernel and match stepping.
+    #[test]
+    fn tap_observers_do_not_count_toward_the_position_limit() {
+        let observe = |mode: KernelMode| {
+            let mut sim = Sim::new();
+            sim.set_kernel_mode(mode);
+            let mut consumers = Vec::new();
+            let mut taps = Vec::new();
+            for k in 0..32 {
+                let wire = sim.pool_mut().new_wire::<WBeat>(2);
+                sim.add(Producer {
+                    out: wire,
+                    sent: 0,
+                    limit: 3 + k % 5,
+                });
+                consumers.push(sim.add(Consumer {
+                    input: wire,
+                    received: Vec::new(),
+                }));
+                sim.pool_mut().enable_tap(wire);
+                taps.push(sim.add(TapCounter {
+                    wire,
+                    seen: Vec::new(),
+                }));
+            }
+            assert_eq!(sim.topology().components.len(), 96);
+            sim.run(40);
+            let received: Vec<Vec<u64>> = consumers
+                .iter()
+                .map(|&c| sim.component::<Consumer>(c).unwrap().received.clone())
+                .collect();
+            let seen: Vec<Vec<(Cycle, u64)>> = taps
+                .iter()
+                .map(|&t| sim.component::<TapCounter>(t).unwrap().seen.clone())
+                .collect();
+            (sim.cycle(), received, seen)
+        };
+        let stepped = observe(KernelMode::Step);
+        assert_eq!(stepped.1[0], [0, 1, 2]);
+        assert_eq!(observe(KernelMode::Arena), stepped);
+    }
+
+    /// 65 components that are not tap observers need 65 schedule
+    /// positions: the arena run refuses at its start, naming the count and
+    /// the limit.
+    #[test]
+    #[should_panic(expected = "65 schedule positions exceed the limit of 64")]
+    fn sixty_five_positions_fail_at_run_start() {
+        let mut sim = Sim::new();
+        sim.set_kernel_mode(KernelMode::Arena);
+        for _ in 0..65 {
+            sim.add(Nop);
+        }
+        sim.run(1);
     }
 
     /// Declares one wire, touches another: the armed sanitizer flags both

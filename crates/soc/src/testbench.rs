@@ -309,7 +309,7 @@ impl Testbench {
         let guard = BusGuard::new(RealmRegFile::new(unit_regs));
         let mmio = sim.add(MmioSubordinate::new(guard, CFG_BASE, CFG_SIZE, cfg_port));
         // The register file and the REALM units share state outside the wire
-        // graph (`Rc<RefCell<RegState>>`), which the event kernel cannot see.
+        // graph (`Rc<RefCell<RegState>>`), which the arena kernel cannot see.
         // Declaring the coupling flushes each unit before an MMIO tick (stats
         // reads observe reconciled counters) and wakes it afterwards (config
         // writes take effect immediately, even if the unit was asleep).

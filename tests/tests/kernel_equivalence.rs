@@ -183,7 +183,7 @@ fn idle_stretches_are_skipped_not_ticked() {
 }
 
 /// Two managers contending through REALM units and a crossbar for one
-/// memory — the shape where the event kernel's wake rules (same-cycle vs
+/// memory — the shape where the arena kernel's wake rules (same-cycle vs
 /// next-cycle, push vs pop) and the `backlog_event` overrides actually
 /// matter. Tight budgets and short periods force depletion/isolation
 /// windows, so beats sit parked on the units' upstream wires while the
@@ -302,8 +302,9 @@ proptest! {
 
     /// Contended fuzz traffic — two managers, crossbar arbitration, active
     /// regulation with depletion windows — is bit-identical between the
-    /// event kernel and explicit stepping, with clean monitors and no
-    /// contract violations on either side.
+    /// arena kernel (with and without the production batch plan) and
+    /// explicit stepping, with clean monitors and no contract violations
+    /// on either side.
     #[test]
     fn contended_run_equals_stepping(
         seed_a in 0u64..1_000,
@@ -318,30 +319,26 @@ proptest! {
 
         let mut fast = build_contended_rig(scripts(), frag_len, budget, period);
         let mut slow = build_contended_rig(scripts(), frag_len, budget, period);
-        let mut islands = build_contended_rig(scripts(), frag_len, budget, period);
         let mut arena = build_contended_rig(scripts(), frag_len, budget, period);
 
+        fast.sim.set_kernel_mode(KernelMode::Arena);
         fast.sim.run(cycles);
         for _ in 0..cycles {
             slow.sim.step();
         }
-        islands.sim.set_kernel_mode(KernelMode::Islands);
-        islands.sim.run(cycles);
         arena.sim.set_kernel_mode(KernelMode::Arena);
         install_batch_plan(&mut arena.sim);
         arena.sim.run(cycles);
 
         let a = observe_contended(&fast);
         let b = observe_contended(&slow);
-        prop_assert_eq!(&a, &b, "event kernel diverged from stepping");
-        let c = observe_contended(&islands);
-        prop_assert_eq!(&a, &c, "islands kernel diverged from the event kernel");
+        prop_assert_eq!(&a, &b, "arena kernel diverged from stepping");
         let d = observe_contended(&arena);
-        prop_assert_eq!(&a, &d, "arena kernel diverged from the event kernel");
+        prop_assert_eq!(&a, &d, "batch plan changed the arena kernel's result");
 
         // Monitors must be clean in absolute terms, not merely identical —
         // otherwise "both kernels see the same violation" would pass.
-        for rig in [&fast, &slow, &islands, &arena] {
+        for rig in [&fast, &slow, &arena] {
             for &id in &rig.monitors {
                 let mon = rig.sim.component::<ProtocolMonitor>(id).expect("monitor");
                 prop_assert!(mon.is_clean(), "{}: {:?}", mon.name(), mon.violations());
@@ -353,11 +350,9 @@ proptest! {
         // accounted for exactly once.
         prop_assert_eq!(format!("{:?}", fast.sim.contract_violations()), "[]");
         prop_assert_eq!(format!("{:?}", slow.sim.contract_violations()), "[]");
-        prop_assert_eq!(format!("{:?}", islands.sim.contract_violations()), "[]");
         prop_assert_eq!(format!("{:?}", arena.sim.contract_violations()), "[]");
         prop_assert_eq!(fast.sim.kernel_stats().cycles_total(), cycles);
         prop_assert_eq!(slow.sim.kernel_stats().cycles_total(), cycles);
-        prop_assert_eq!(islands.sim.kernel_stats().cycles_total(), cycles);
         prop_assert_eq!(arena.sim.kernel_stats().cycles_total(), cycles);
     }
 }
@@ -501,7 +496,7 @@ fn budget_exhaustion_stays_per_cycle_under_a_batch_plan() {
 /// the crossbar (it multiplexes per-channel) and the enabled units besides;
 /// steady-state wire occupancy on a live path never reaches the two-beat
 /// window minimum either. No window may open, and the arena run is
-/// bit-identical to the event kernel and stepping.
+/// bit-identical to stepping.
 #[test]
 fn contended_path_never_opens_a_window() {
     let spec = FuzzSpec::new(MEM_BASE, MEM_SIZE)
@@ -737,50 +732,20 @@ fn testbench_run_matches_stepping() {
         cfg
     };
     const CYCLES: u64 = 30_000;
+    // The arena kernel carries the production batch plan (Testbench::new
+    // installs it): the regulated units veto every window, so this leg
+    // must both match and report zero batched work.
     let mut fast = Testbench::new(config());
+    fast.sim_mut().set_kernel_mode(KernelMode::Arena);
     fast.run(CYCLES);
     let mut slow = Testbench::new(config());
     for _ in 0..CYCLES {
         slow.sim_mut().step();
     }
-    // The islands kernel steps the partition island-major within each
-    // cycle; the full testbench is one island, so this exercises exactly
-    // the serial tick order and must stay bit-identical too.
-    let mut isl = Testbench::new(config());
-    isl.sim_mut().set_kernel_mode(KernelMode::Islands);
-    isl.run(CYCLES);
-    // The arena kernel additionally carries the production batch plan
-    // (Testbench::new installs it): the regulated units veto every window,
-    // so this leg must both match and report zero batched work.
-    let mut arena = Testbench::new(config());
-    arena.sim_mut().set_kernel_mode(KernelMode::Arena);
-    arena.run(CYCLES);
 
     let a = fast.result();
     let b = slow.result();
-    let c = isl.result();
-    let d = arena.result();
-    assert_eq!(a.cycles, c.cycles);
-    assert_eq!(a.core_accesses, c.core_accesses);
-    assert_eq!(a.dma_bytes, c.dma_bytes);
-    assert_eq!(a.llc_beats, c.llc_beats);
-    assert_eq!(
-        format!("{:?}", a.core_latency),
-        format!("{:?}", c.core_latency)
-    );
-    assert_eq!(a.cycles, d.cycles);
-    assert_eq!(a.core_accesses, d.core_accesses);
-    assert_eq!(a.dma_bytes, d.dma_bytes);
-    assert_eq!(a.llc_beats, d.llc_beats);
-    assert_eq!(
-        format!("{:?}", a.core_latency),
-        format!("{:?}", d.core_latency)
-    );
-    assert_eq!(
-        format!("{:?}", fast.dma_realm().expect("regulated").stats()),
-        format!("{:?}", arena.dma_realm().expect("regulated").stats()),
-    );
-    assert_eq!(arena.sim().kernel_stats().batch_windows, 0);
+    assert_eq!(fast.sim().kernel_stats().batch_windows, 0);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.core_accesses, b.core_accesses);
     assert_eq!(
@@ -817,8 +782,8 @@ impl Component for BacklogProbe {
     }
 }
 
-/// The event and arena kernels drain protocol monitors in bulk, so tap
-/// records pile up between drains. Over a long contended run the backlog
+/// The arena kernel drains protocol monitors in bulk, so tap records pile
+/// up between drains. Over a long contended run the backlog
 /// must stay below the drain threshold plus one cycle's tapped pushes (at
 /// most one per tapped wire), and the monitors must still report exactly
 /// what per-cycle stepping reports.
@@ -840,16 +805,14 @@ fn monitor_tap_backlog_stays_bounded() {
     let (_, stepped) = observe(KernelMode::Step);
     let monitors = stepped.matches("PortReport").count() as u64;
     assert!(monitors >= 5, "expected every port monitored: {stepped}");
-    for mode in [KernelMode::Event, KernelMode::Arena] {
-        let (peak, report) = observe(mode);
-        assert!(
-            peak >= axi_sim::TAP_DRAIN_RECORDS,
-            "{mode:?}: the run must be long enough to force bulk drains (peak {peak})"
-        );
-        assert!(
-            peak < axi_sim::TAP_DRAIN_RECORDS + 5 * monitors,
-            "{mode:?}: backlog peaked at {peak}"
-        );
-        assert_eq!(report, stepped, "{mode:?} monitors disagree with stepping");
-    }
+    let (peak, report) = observe(KernelMode::Arena);
+    assert!(
+        peak >= axi_sim::TAP_DRAIN_RECORDS,
+        "the run must be long enough to force bulk drains (peak {peak})"
+    );
+    assert!(
+        peak < axi_sim::TAP_DRAIN_RECORDS + 5 * monitors,
+        "backlog peaked at {peak}"
+    );
+    assert_eq!(report, stepped, "arena monitors disagree with stepping");
 }
