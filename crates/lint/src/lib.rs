@@ -11,6 +11,7 @@
 //! |------|----------|---------|
 //! | `wire-dangling` | error¹ | a wire driven but never consumed, or vice versa |
 //! | `wire-doubly-driven` | error | two components push onto the same wire |
+//! | `wire-unallocated` | error | a port names a wire the pool never allocated |
 //! | `component-unreachable` | warning | no wire path from any traffic source |
 //! | `addrmap-overlap` | error | two address windows overlap |
 //! | `addrmap-alignment` | warning | window not 4 KiB aligned |
@@ -43,8 +44,22 @@
 //! 8 KiB + up to 8 KiB per 1000 cycles against an 8 B/cycle port).
 //! "Analyzer-clean" therefore means **zero error-severity findings**.
 //!
-//! Testbenches run the pass automatically at construction; set
-//! `REALM_LINT=0` to opt out and `REALM_LINT=verbose` to print warnings.
+//! **One wire index, one analysis per build.** Both passes read the
+//! [`WireIndex`](axi_sim::WireIndex) a [`Topology`](axi_sim::Topology)
+//! snapshot builds once: dense integer keys over the declared
+//! `(channel, wire)` pairs, in `(channel, wire)` order, with each
+//! component's port keys and each key's endpoints. No rule keys its own map
+//! by wire name, and nothing is sized by a wire index, so a port naming
+//! wire `usize::MAX` or an unknown channel costs one key (and a
+//! `wire-unallocated` error). [`analyze`] runs Pass C on the way;
+//! [`analyze_with_partition`] hands its [`Partition`] back, so a builder
+//! that needs both the verdict and the batch plan runs each pass once.
+//! Testbenches do exactly that at construction (with `REALM_LINT=0` they
+//! skip Pass A and run Pass C alone, for the batch plan); the fuzz rig's
+//! `lint_spec` runs [`analyze`] and its `run_spec` runs [`analyze_deps`],
+//! so a fuzz system costs one Pass A and two Pass C runs. Set
+//! `REALM_LINT=0` to opt out of the startup gate and `REALM_LINT=verbose`
+//! to print warnings.
 //!
 //! **Runtime-checked kernel contract (`kernel-stale-hint`).** One rule in
 //! the catalogue is enforced by the arena kernel itself rather than by
@@ -81,7 +96,7 @@ mod system;
 
 pub use diag::{Diagnostic, Report, Severity};
 pub use gate::{apply, enabled_by_env, verbose_by_env};
-pub use rules::{analyze, analyze_budgets, drain_bound_cycles};
+pub use rules::{analyze, analyze_budgets, analyze_with_partition, drain_bound_cycles};
 pub use scan::{scan_source, scan_workspace, violations_to_json, Violation};
 pub use sched::{analyze_deps, DepEdge, DepEdgeKind, Partition};
 pub use system::{AddrWindow, RealmSpec, SystemModel};

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use axi_sim::{PortDir, Topology};
 
 use crate::diag::{Diagnostic, Report, Severity};
+use crate::sched::Partition;
 use crate::system::SystemModel;
 
 /// A fragment must stay within one DRAM/LLC page: AXI4 forbids bursts
@@ -18,6 +19,13 @@ const PAGE: u64 = 4096;
 
 /// Runs every rule. See the crate docs for the rule catalogue.
 pub fn analyze(topo: &Topology, model: &SystemModel) -> Report {
+    analyze_with_partition(topo, model).0
+}
+
+/// Runs every rule, like [`analyze`], and also returns the Pass C
+/// [`Partition`] the analysis computes on the way — a builder that needs
+/// both the verdict and the batch plan runs Pass C once, not twice.
+pub fn analyze_with_partition(topo: &Topology, model: &SystemModel) -> (Report, Partition) {
     let mut report = Report::new();
     check_wires(topo, &mut report);
     check_reachability(topo, &mut report);
@@ -29,13 +37,12 @@ pub fn analyze(topo: &Topology, model: &SystemModel) -> Report {
     check_budgets(model, &mut report);
     check_comb_cycles(model, &mut report);
     // Pass C rides along: the couple/dependence diagnostics join the
-    // report; callers wanting the Partition artifact itself use
-    // `analyze_deps` directly.
-    let (_, deps) = crate::sched::analyze_deps(topo, model);
+    // report, after Pass A's.
+    let (partition, deps) = crate::sched::analyze_deps(topo, model);
     for d in deps.diagnostics() {
         report.push(d.clone());
     }
-    report
+    (report, partition)
 }
 
 /// Display key for a wire: `AW[3]`.
@@ -49,38 +56,51 @@ fn wire_path(channel: &str, index: usize) -> String {
 /// declaration) may legitimately own undeclared endpoints, so their
 /// presence demotes dangling findings to warnings.
 ///
+/// `wire-unallocated`: a port naming a wire the pool never allocated — an
+/// index past the channel's wire count, or a channel label that is not one
+/// of the five — describes a connection that cannot exist.
+///
 /// [`ports`]: axi_sim::Component::ports
 fn check_wires(topo: &Topology, report: &mut Report) {
+    let index = topo.wire_index();
+    let components = topo.components();
     let opaque = topo.opaque_components() > 0;
     let dangling_severity = if opaque {
         Severity::Warning
     } else {
         Severity::Error
     };
-    for wire in &topo.wires {
-        let mut drivers: Vec<&str> = Vec::new();
-        let mut consumers: Vec<&str> = Vec::new();
-        for c in &topo.components {
-            for p in &c.ports {
-                if p.channel == wire.channel && p.wire == wire.index {
-                    match p.dir {
-                        PortDir::Drive => drivers.push(&c.name),
-                        PortDir::Consume => consumers.push(&c.name),
-                        PortDir::Observe => {}
-                    }
-                }
+    let mut allocated = vec![false; index.len()];
+    for wire in topo.wires() {
+        let ends = match index.key(wire.channel, wire.index) {
+            Some(key) => {
+                allocated[key] = true;
+                index.ends(key)
             }
+            None => &[],
+        };
+        let count = |dir: PortDir| ends.iter().filter(|e| e.dir == dir).count();
+        let (drivers, consumers) = (count(PortDir::Drive), count(PortDir::Consume));
+        if drivers == 1 && consumers > 0 {
+            continue;
         }
+        let names = |dir: PortDir| {
+            ends.iter()
+                .filter(|e| e.dir == dir)
+                .map(|e| components[e.component].name.as_str())
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         let path = wire_path(wire.channel, wire.index);
-        if drivers.len() > 1 {
+        if drivers > 1 {
             report.push(Diagnostic::new(
                 "wire-doubly-driven",
                 Severity::Error,
                 path.clone(),
-                format!("wire has {} drivers: {}", drivers.len(), drivers.join(", ")),
+                format!("wire has {drivers} drivers: {}", names(PortDir::Drive)),
             ));
         }
-        match (drivers.is_empty(), consumers.is_empty()) {
+        match (drivers == 0, consumers == 0) {
             (true, true) => report.push(Diagnostic::new(
                 "wire-dangling",
                 Severity::Warning,
@@ -93,7 +113,7 @@ fn check_wires(topo: &Topology, report: &mut Report) {
                 path,
                 format!(
                     "wire driven by {} but never consumed{}",
-                    drivers.join(", "),
+                    names(PortDir::Drive),
                     if opaque {
                         " (opaque components present; they may consume it)"
                     } else {
@@ -107,7 +127,7 @@ fn check_wires(topo: &Topology, report: &mut Report) {
                 path,
                 format!(
                     "wire consumed by {} but never driven{}",
-                    consumers.join(", "),
+                    names(PortDir::Consume),
                     if opaque {
                         " (opaque components present; they may drive it)"
                     } else {
@@ -118,6 +138,25 @@ fn check_wires(topo: &Topology, report: &mut Report) {
             (false, false) => {}
         }
     }
+    for key in (0..index.len()).filter(|&k| !allocated[k]) {
+        let (channel, wire) = index.pair(key);
+        let mut declared_by: Vec<&str> = Vec::new();
+        for end in index.ends(key) {
+            let name = components[end.component].name.as_str();
+            if !declared_by.contains(&name) {
+                declared_by.push(name);
+            }
+        }
+        report.push(Diagnostic::new(
+            "wire-unallocated",
+            Severity::Error,
+            wire_path(channel, wire),
+            format!(
+                "declared by {} but the pool allocated no such wire",
+                declared_by.join(", ")
+            ),
+        ));
+    }
 }
 
 /// `component-unreachable`: a component whose declared wires share no
@@ -126,27 +165,19 @@ fn check_wires(topo: &Topology, report: &mut Report) {
 /// without consuming one. Observers and opaque components are skipped.
 fn check_reachability(topo: &Topology, report: &mut Report) {
     let is_req = |ch: &str| ch == "AW" || ch == "W" || ch == "AR";
-    let participants: Vec<&axi_sim::TopoComponent> = topo
-        .components
+    let index = topo.wire_index();
+    let components = topo.components();
+    let participant: Vec<bool> = components
         .iter()
-        .filter(|c| !c.is_opaque() && !c.is_observer())
+        .map(|c| !c.is_opaque() && !c.is_observer())
         .collect();
-    if participants.is_empty() {
+    if !participant.contains(&true) {
         return;
     }
-    // Wire key -> participant positions touching it (non-observing).
-    let mut by_wire: BTreeMap<(&str, usize), Vec<usize>> = BTreeMap::new();
-    for (i, c) in participants.iter().enumerate() {
-        for p in &c.ports {
-            if p.dir != PortDir::Observe {
-                by_wire.entry((p.channel, p.wire)).or_default().push(i);
-            }
-        }
-    }
-    let sources: Vec<usize> = participants
+    let sources: Vec<usize> = components
         .iter()
-        .enumerate()
-        .filter(|(_, c)| {
+        .filter(|c| participant[c.index])
+        .filter(|c| {
             let drives_req = c
                 .ports
                 .iter()
@@ -157,35 +188,35 @@ fn check_reachability(topo: &Topology, report: &mut Report) {
                 .any(|p| p.dir == PortDir::Consume && is_req(p.channel));
             drives_req && !consumes_req
         })
-        .map(|(i, _)| i)
+        .map(|c| c.index)
         .collect();
     if sources.is_empty() {
         // No manager at all: the system is inert, which the wire rules
         // already surface; reachability has nothing to anchor to.
         return;
     }
-    // Flood-fill over shared wires, undirected.
-    let mut reached = vec![false; participants.len()];
+    // Flood-fill over shared wires, undirected, through non-observing
+    // endpoints of participants only.
+    let mut reached = vec![false; components.len()];
     let mut queue = sources;
     while let Some(i) = queue.pop() {
         if std::mem::replace(&mut reached[i], true) {
             continue;
         }
-        for p in &participants[i].ports {
+        for (p, &key) in components[i].ports.iter().zip(index.port_keys(i)) {
             if p.dir == PortDir::Observe {
                 continue;
             }
-            if let Some(peers) = by_wire.get(&(p.channel, p.wire)) {
-                for &j in peers {
-                    if !reached[j] {
-                        queue.push(j);
-                    }
+            for end in index.ends(key) {
+                let j = end.component;
+                if end.dir != PortDir::Observe && participant[j] && !reached[j] {
+                    queue.push(j);
                 }
             }
         }
     }
-    for (i, c) in participants.iter().enumerate() {
-        if !reached[i] {
+    for c in components {
+        if participant[c.index] && !reached[c.index] {
             report.push(Diagnostic::new(
                 "component-unreachable",
                 Severity::Warning,

@@ -33,7 +33,7 @@
 //! (`dependence-unreachable`).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use axi_sim::{PortDir, Topology};
 
@@ -75,8 +75,20 @@ pub struct DepEdge {
     pub to: usize,
     /// What carries the dependence.
     pub kind: DepEdgeKind,
-    /// The carrier: `AW[3]` for a wire edge, `couple`/`comb` otherwise.
-    pub via: String,
+    /// The carrying wire's `(channel, index)` for a wire edge; `None` for
+    /// couple and comb edges.
+    pub wire: Option<(&'static str, usize)>,
+}
+
+impl DepEdge {
+    /// The carrier as text: `AW[3]` for a wire edge, `couple`/`comb`
+    /// otherwise.
+    pub fn via(&self) -> String {
+        match self.wire {
+            Some((channel, index)) => format!("{channel}[{index}]"),
+            None => self.kind.label().to_owned(),
+        }
+    }
 }
 
 /// The static dependence artifact for one system: every edge, the island
@@ -185,9 +197,10 @@ impl Partition {
 /// Runs Pass C: builds the dependence graph, partitions it into islands,
 /// computes the static evaluation schedule, and reports the couple
 /// diagnostics (`couple-redundant`, `couple-merges-islands`,
-/// `dependence-unreachable`). Also run as part of [`analyze`]
-/// (see [`crate::analyze`]); call directly to get the [`Partition`]
-/// artifact.
+/// `dependence-unreachable`). Also run as part of
+/// [`analyze`](crate::analyze), and
+/// [`analyze_with_partition`](crate::analyze_with_partition) returns the
+/// [`Partition`] as well; call this directly when only Pass C is needed.
 pub fn analyze_deps(topo: &Topology, model: &SystemModel) -> (Partition, Report) {
     let partition = build_partition(topo, model);
     let mut report = Report::new();
@@ -200,41 +213,48 @@ pub fn analyze_deps(topo: &Topology, model: &SystemModel) -> (Partition, Report)
 /// Resolves a system-model node name to a component registration index
 /// (first match; comb couplings name component instances).
 fn resolve(topo: &Topology, name: &str) -> Option<usize> {
-    topo.components.iter().position(|c| c.name == name)
+    topo.components().iter().position(|c| c.name == name)
 }
 
-/// Per-wire endpoint split: `(drivers, sinks)` by component index.
-type WireEndpoints<'a> = BTreeMap<(&'a str, usize), (Vec<usize>, Vec<usize>)>;
-
 fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
-    let n = topo.components.len();
-    let names: Vec<String> = topo.components.iter().map(|c| c.name.clone()).collect();
+    let components = topo.components();
+    let index = topo.wire_index();
+    let n = components.len();
+    let names: Vec<String> = components.iter().map(|c| c.name.clone()).collect();
 
-    // Wire edges: driver → consumer/observer per shared wire. BTreeMap
-    // keying makes the emission order deterministic (channel, then index).
+    // Wire edges: driver → consumer/observer per shared wire, in key
+    // order (channel, then index), which makes the emission order
+    // deterministic. The same sweep finds the point-to-point wires the
+    // batch plan needs: exactly one driving component and one consuming
+    // port.
     let mut edges: Vec<DepEdge> = Vec::new();
-    let mut by_wire: WireEndpoints<'_> = BTreeMap::new();
-    for c in &topo.components {
-        for p in &c.ports {
-            let (drivers, sinks) = by_wire.entry((p.channel, p.wire)).or_default();
-            let side = match p.dir {
-                PortDir::Drive => drivers,
-                PortDir::Consume | PortDir::Observe => sinks,
+    let mut point_to_point = vec![false; index.len()];
+    let mut drivers: Vec<usize> = Vec::new();
+    let mut sinks: Vec<usize> = Vec::new();
+    for (key, p2p) in point_to_point.iter_mut().enumerate() {
+        drivers.clear();
+        sinks.clear();
+        let mut consumers = 0;
+        for end in index.ends(key) {
+            let side = match end.dir {
+                PortDir::Drive => &mut drivers,
+                PortDir::Consume | PortDir::Observe => &mut sinks,
             };
-            if !side.contains(&c.index) {
-                side.push(c.index);
+            if !side.contains(&end.component) {
+                side.push(end.component);
             }
+            consumers += usize::from(end.dir == PortDir::Consume);
         }
-    }
-    for (&(channel, index), (drivers, sinks)) in &by_wire {
-        for &d in drivers.iter() {
-            for &s in sinks.iter() {
+        *p2p = drivers.len() == 1 && consumers == 1;
+        let pair = index.pair(key);
+        for &d in &drivers {
+            for &s in &sinks {
                 if d != s {
                     edges.push(DepEdge {
                         from: d,
                         to: s,
                         kind: DepEdgeKind::Wire,
-                        via: format!("{channel}[{index}]"),
+                        wire: Some(pair),
                     });
                 }
             }
@@ -242,13 +262,13 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
     }
 
     // Couple edges: source → dependent, declaration order.
-    for &(source, dependent) in &topo.couples {
+    for &(source, dependent) in topo.couples() {
         if source < n && dependent < n {
             edges.push(DepEdge {
                 from: source,
                 to: dependent,
                 kind: DepEdgeKind::Couple,
-                via: "couple".to_owned(),
+                wire: None,
             });
         }
     }
@@ -265,7 +285,7 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
                     from: i,
                     to: j,
                     kind: DepEdgeKind::Comb,
-                    via: "comb".to_owned(),
+                    wire: None,
                 });
             }
         }
@@ -329,7 +349,7 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
     }
     let depth = node_depth.into_iter().max().unwrap_or(0);
 
-    let batch_allowed = batch_plan(topo, &edges, &by_wire);
+    let batch_allowed = batch_plan(topo, &edges, &point_to_point);
 
     Partition {
         names,
@@ -362,26 +382,11 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
 ///
 /// Opaque (port-less) components are never approved — the kernel cannot
 /// bound what it cannot see.
-fn batch_plan(topo: &Topology, edges: &[DepEdge], by_wire: &WireEndpoints<'_>) -> Vec<bool> {
-    let n = topo.components.len();
-
-    // Wires with exactly one driver and one consumer. `by_wire` merges
-    // consumers and observers into one sink list, so recount consumers
-    // from the raw ports.
-    let mut consumers: BTreeMap<(&str, usize), usize> = BTreeMap::new();
-    for c in &topo.components {
-        for p in &c.ports {
-            if p.dir == PortDir::Consume {
-                *consumers.entry((p.channel, p.wire)).or_default() += 1;
-            }
-        }
-    }
-    let point_to_point = |channel: &str, wire: usize| -> bool {
-        by_wire
-            .get(&(channel, wire))
-            .is_some_and(|(drivers, _)| drivers.len() == 1)
-            && consumers.get(&(channel, wire)) == Some(&1)
-    };
+///
+/// `point_to_point[key]` says whether the wire of `key` is uncontended.
+fn batch_plan(topo: &Topology, edges: &[DepEdge], point_to_point: &[bool]) -> Vec<bool> {
+    let index = topo.wire_index();
+    let n = topo.components().len();
 
     // Couple/comb sources flush their dependents before every tick; a
     // batched source would skip those reconciliation points.
@@ -392,7 +397,9 @@ fn batch_plan(topo: &Topology, edges: &[DepEdge], by_wire: &WireEndpoints<'_>) -
         }
     }
 
-    topo.components
+    // Driven and consumed ports per channel label, reset per component.
+    let mut per_channel = vec![(0usize, 0usize); index.channel_count()];
+    topo.components()
         .iter()
         .map(|c| {
             if c.ports.is_empty() {
@@ -404,24 +411,29 @@ fn batch_plan(topo: &Topology, edges: &[DepEdge], by_wire: &WireEndpoints<'_>) -
             if flush_source[c.index] {
                 return false;
             }
+            let keys = index.port_keys(c.index);
+            for &k in keys {
+                per_channel[index.channel_of(k)] = (0, 0);
+            }
             // No channel multiplexing: at most one driven and one consumed
             // wire per channel label.
-            let mut per_channel: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-            for p in &c.ports {
-                let (drives, consumes) = per_channel.entry(p.channel).or_default();
+            let mut multiplexes = false;
+            for (p, &k) in c.ports.iter().zip(keys) {
+                let (drives, consumes) = &mut per_channel[index.channel_of(k)];
                 match p.dir {
                     PortDir::Drive => *drives += 1,
                     PortDir::Consume => *consumes += 1,
                     PortDir::Observe => {}
                 }
+                multiplexes |= *drives > 1 || *consumes > 1;
             }
-            if per_channel.values().any(|&(d, s)| d > 1 || s > 1) {
+            if multiplexes {
                 return false;
             }
-            c.ports.iter().all(|p| match p.dir {
-                PortDir::Observe => true,
-                PortDir::Drive | PortDir::Consume => point_to_point(p.channel, p.wire),
-            })
+            c.ports
+                .iter()
+                .zip(keys)
+                .all(|(p, &k)| p.dir == PortDir::Observe || point_to_point[k])
         })
         .collect()
 }
@@ -433,27 +445,40 @@ fn batch_plan(topo: &Topology, edges: &[DepEdge], by_wire: &WireEndpoints<'_>) -
 /// over-declare. Warning, not error: the couple still changes arena-kernel
 /// wake behaviour for writes without wire activity.
 fn check_couple_redundant(topo: &Topology, report: &mut Report) {
-    if topo.couples.is_empty() {
+    let couples = topo.couples();
+    if couples.is_empty() {
         return;
     }
-    let n = topo.components.len();
-    let wires: Vec<BTreeSet<(&str, usize)>> = topo
-        .components
-        .iter()
-        .map(|c| c.ports.iter().map(|p| (p.channel, p.wire)).collect())
-        .collect();
-    for &(s, d) in &topo.couples {
+    let components = topo.components();
+    let index = topo.wire_index();
+    let n = components.len();
+    // `marked[key] == c` while couple `c` is checked: the source touches
+    // the wire.
+    let mut marked = vec![usize::MAX; index.len()];
+    for (c, &(s, d)) in couples.iter().enumerate() {
         if s >= n || d >= n {
             continue;
         }
-        if let Some(&(channel, index)) = wires[s].intersection(&wires[d]).next() {
+        for &k in index.port_keys(s) {
+            marked[k] = c;
+        }
+        // The lowest shared key, i.e. the first shared wire in
+        // (channel, index) order.
+        let shared = index
+            .port_keys(d)
+            .iter()
+            .copied()
+            .filter(|&k| marked[k] == c)
+            .min();
+        if let Some(key) = shared {
+            let (channel, wire) = index.pair(key);
             report.push(Diagnostic::new(
                 "couple-redundant",
                 Severity::Warning,
-                format!("{}->{}", topo.components[s].name, topo.components[d].name),
+                format!("{}->{}", components[s].name, components[d].name),
                 format!(
                     "couple duplicates an existing wire edge: both components already \
-                     touch {channel}[{index}], which keeps the pair in one island"
+                     touch {channel}[{wire}], which keeps the pair in one island"
                 ),
             ));
         }
@@ -467,32 +492,32 @@ fn check_couple_redundant(topo: &Topology, report: &mut Report) {
 /// declared intent (an out-of-band config channel), but it is the one
 /// edge to blame when a partition is coarser than expected.
 fn check_couple_merges_islands(topo: &Topology, report: &mut Report) {
-    if topo.couples.is_empty() {
+    let couples = topo.couples();
+    if couples.is_empty() {
         return;
     }
-    let n = topo.components.len();
-    let mut wire_only = topo.clone();
-    wire_only.couples.clear();
-    let islands = wire_only.islands();
+    let components = topo.components();
+    let n = components.len();
+    let islands = topo.wire_islands();
     let mut island_of = vec![0usize; n];
     for (k, island) in islands.iter().enumerate() {
         for &i in island {
             island_of[i] = k;
         }
     }
-    for &(s, d) in &topo.couples {
+    for &(s, d) in couples {
         if s >= n || d >= n || island_of[s] == island_of[d] {
             continue;
         }
         report.push(Diagnostic::new(
             "couple-merges-islands",
             Severity::Info,
-            format!("{}->{}", topo.components[s].name, topo.components[d].name),
+            format!("{}->{}", components[s].name, components[d].name),
             format!(
                 "couple edge ({} -> {}) merges two otherwise-independent islands \
                  ({} and {} components): without it they could step in parallel",
-                topo.components[s].name,
-                topo.components[d].name,
+                components[s].name,
+                components[d].name,
                 islands[island_of[s]].len(),
                 islands[island_of[d]].len()
             ),
@@ -507,17 +532,17 @@ fn check_couple_merges_islands(topo: &Topology, report: &mut Report) {
 /// Suppressed when fewer than two non-opaque components exist (a
 /// single-component system is trivially edge-free).
 fn check_dependence_unreachable(topo: &Topology, partition: &Partition, report: &mut Report) {
-    let non_opaque = topo.components.iter().filter(|c| !c.is_opaque()).count();
+    let non_opaque = topo.components().iter().filter(|c| !c.is_opaque()).count();
     if non_opaque < 2 {
         return;
     }
-    let n = topo.components.len();
+    let n = topo.components().len();
     let mut connected = vec![false; n];
     for e in &partition.edges {
         connected[e.from] = true;
         connected[e.to] = true;
     }
-    for c in &topo.components {
+    for c in topo.components() {
         if !c.is_opaque() && !connected[c.index] {
             report.push(Diagnostic::new(
                 "dependence-unreachable",
@@ -744,6 +769,47 @@ mod tests {
         });
         let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
         assert_eq!(p.batch_allowed, vec![false, false, false]);
+    }
+
+    #[test]
+    fn batch_plan_rejects_a_component_consuming_two_wires_of_one_channel() {
+        // Two managers each drive their own AW wire into one joiner: both
+        // wires are point-to-point, but the joiner consumes two AW wires,
+        // i.e. arbitrates between them every cycle.
+        struct Join {
+            left: AxiBundle,
+            right: AxiBundle,
+        }
+        impl Component for Join {
+            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+            fn name(&self) -> &str {
+                "join"
+            }
+            fn ports(&self) -> Vec<PortDecl> {
+                vec![
+                    PortDecl::new("AW", self.left.aw.index(), PortDir::Consume),
+                    PortDecl::new("AW", self.right.aw.index(), PortDir::Consume),
+                ]
+            }
+        }
+        let mut sim = Sim::new();
+        let left = AxiBundle::with_defaults(sim.pool_mut());
+        let right = AxiBundle::with_defaults(sim.pool_mut());
+        sim.add(Join { left, right });
+        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
+        assert_eq!(p.batch_allowed, vec![false]);
+        // Without the multiplexing rule both wires would qualify: each
+        // has one driver once the managers exist, and one consumer.
+        sim.add(Mgr {
+            bundle: left,
+            name: "left",
+        });
+        sim.add(Mgr {
+            bundle: right,
+            name: "right",
+        });
+        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
+        assert!(!p.batch_allowed[0]);
     }
 
     #[test]

@@ -131,10 +131,11 @@ pub trait Component: Any {
     /// pool's undrained tap backlog ([`ChannelPool::tap_backlog`]) reaches
     /// a fixed threshold, and before every return from
     /// [`Sim::run`](crate::Sim::run) and
-    /// [`Sim::run_until`](crate::Sim::run_until). Between those points a
-    /// tap observer lags the simulation, so a `run_until` predicate must
-    /// not read one. The stepping kernel ticks it every cycle like any
-    /// other component.
+    /// [`Sim::run_until`](crate::Sim::run_until); its
+    /// [`Component::on_fast_forward`] runs only when a run returns. Between
+    /// those points a tap observer lags the simulation, so a `run_until`
+    /// predicate must not read one. The stepping kernel ticks it every
+    /// cycle like any other component.
     ///
     /// The answer must not change over the component's lifetime. The
     /// default `false` keeps a component on the per-cycle schedule; a

@@ -61,7 +61,7 @@ pub use sim::{
     ComponentId, ComponentProfile, ContractViolation, KernelMode, KernelStats, SanitizerViolation,
     Sim, ViolationKind, TAP_DRAIN_RECORDS,
 };
-pub use topology::{PortDecl, PortDir, TopoComponent, TopoWire, Topology};
+pub use topology::{PortDecl, PortDir, TopoComponent, TopoWire, Topology, WireEnd, WireIndex};
 pub use trace::{TraceChannel, TraceEvent, TracePayload, TraceProbe};
 pub use vcd::vcd_dump;
 pub use watchdog::Watchdog;

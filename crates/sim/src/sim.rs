@@ -864,8 +864,10 @@ impl Sim {
     ///
     /// The predicate must not read a
     /// [tap observer](Component::tap_observer): the arena kernel drains
-    /// those in bulk, so mid-run they lag the simulation.
-    /// They are exact again once `run_until` returns.
+    /// those in bulk and reconciles their elided ticks
+    /// ([`Component::on_fast_forward`]) only when the run returns, so
+    /// mid-run they lag the simulation. They are exact again once
+    /// `run_until` returns.
     pub fn run_until<F: FnMut(&Sim) -> bool>(&mut self, max_cycles: u64, mut done: F) -> bool {
         self.drive(max_cycles, Some(&mut done), None)
     }
@@ -915,9 +917,12 @@ impl Sim {
             }
             if let Some(done) = done.as_mut() {
                 // Reconcile elided ticks so the predicate observes exactly
-                // the state a stepped run would show at this cycle.
-                self.flush_all(self.cycle);
+                // the state a stepped run would show at this cycle. Tap
+                // observers are left out: a predicate must not read them,
+                // so they are reconciled once, when the run returns.
+                self.flush_scheduled(self.cycle);
                 if done(self) {
+                    self.flush_all(self.cycle);
                     self.drain_observers();
                     return true;
                 }
@@ -1150,6 +1155,14 @@ impl Sim {
         if self.synced_to[index] < to {
             self.components[index].on_fast_forward(self.synced_to[index], to);
             self.synced_to[index] = to;
+        }
+    }
+
+    /// Reconciles every component that holds a schedule position (all but
+    /// the tap observers) up to (excluding) `to`.
+    fn flush_scheduled(&mut self, to: Cycle) {
+        for pos in 0..self.arena.order.len() {
+            self.flush_component(self.arena.order[pos] as usize, to);
         }
     }
 
@@ -1800,8 +1813,8 @@ mod tests {
             }
         }
         let topo = sim.topology();
-        assert_eq!(topo.couples.len(), 101 * 100, "10100 distinct couples");
-        assert_eq!(topo.couples, expected, "declaration order preserved");
+        assert_eq!(topo.couples().len(), 101 * 100, "10100 distinct couples");
+        assert_eq!(topo.couples(), expected, "declaration order preserved");
     }
 
     /// Deliberately broken hinter: always claims a wake in the past, so
@@ -2106,7 +2119,7 @@ mod tests {
                     seen: Vec::new(),
                 }));
             }
-            assert_eq!(sim.topology().components.len(), 96);
+            assert_eq!(sim.topology().components().len(), 96);
             sim.run(40);
             let received: Vec<Vec<u64>> = consumers
                 .iter()
@@ -2121,6 +2134,73 @@ mod tests {
         let stepped = observe(KernelMode::Step);
         assert_eq!(stepped.1[0], [0, 1, 2]);
         assert_eq!(observe(KernelMode::Arena), stepped);
+    }
+
+    /// A `run_until` predicate never reads a tap observer, so the arena
+    /// kernel reconciles none before its checks: the observer's
+    /// `on_fast_forward` runs once, when the run returns, whether the
+    /// predicate fired or the cycle cap ended the run.
+    #[test]
+    fn run_until_reconciles_tap_observers_only_on_return() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct FastForwardCounter {
+            wire: WireId<WBeat>,
+            calls: Rc<Cell<u32>>,
+        }
+        impl Component for FastForwardCounter {
+            fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+                ctx.pool.clear_tap(self.wire);
+            }
+            fn tap_observer(&self) -> bool {
+                true
+            }
+            fn on_fast_forward(&mut self, _from: Cycle, _to: Cycle) {
+                self.calls.set(self.calls.get() + 1);
+            }
+        }
+        let calls = Rc::new(Cell::new(0));
+        let mut sim = Sim::new();
+        let wire = sim.pool_mut().new_wire::<WBeat>(2);
+        sim.add(Producer {
+            out: wire,
+            sent: 0,
+            limit: 40,
+        });
+        let consumer = sim.add(Consumer {
+            input: wire,
+            received: Vec::new(),
+        });
+        sim.pool_mut().enable_tap(wire);
+        sim.add(FastForwardCounter {
+            wire,
+            calls: Rc::clone(&calls),
+        });
+
+        let mut seen_during_checks = Vec::new();
+        let fired = sim.run_until(1000, |s| {
+            seen_during_checks.push(calls.get());
+            s.component::<Consumer>(consumer).unwrap().received.len() == 30
+        });
+        assert!(fired);
+        assert!(seen_during_checks.len() > 30, "one check per busy cycle");
+        assert!(
+            seen_during_checks.iter().all(|&c| c == 0),
+            "observer reconciled during predicate checks: {seen_during_checks:?}"
+        );
+        assert_eq!(calls.get(), 1, "reconciled once when the predicate fired");
+
+        calls.set(0);
+        let mut seen_during_checks = Vec::new();
+        assert!(!sim.run_until(50, |_| {
+            seen_during_checks.push(calls.get());
+            false
+        }));
+        assert!(seen_during_checks[..seen_during_checks.len() - 1]
+            .iter()
+            .all(|&c| c == 0));
+        assert_eq!(calls.get(), 1, "reconciled once when the cap ended the run");
     }
 
     /// 65 components that are not tap observers need 65 schedule

@@ -7,8 +7,6 @@
 //! doubly-driven wires, unreachable components, and declared zero-latency
 //! couplings that could form combinational cycles.
 
-use std::collections::BTreeMap;
-
 use crate::component::Component;
 use crate::pool::ChannelPool;
 
@@ -89,16 +87,168 @@ pub struct TopoWire {
 }
 
 /// A static snapshot of a simulated system's structure: every registered
-/// component with its declared ports, and every allocated wire.
+/// component with its declared ports, every allocated wire, the declared
+/// couples, and the [`WireIndex`] over the declared endpoints.
+///
+/// The index is built once, when the snapshot is made, and every static
+/// pass reads it instead of keying its own map by wire name; the snapshot
+/// is therefore read-only. Take one with
+/// [`Sim::topology`](crate::Sim::topology), or assemble one from raw
+/// declarations with [`Topology::new`].
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
-    /// Components in registration (tick) order.
-    pub components: Vec<TopoComponent>,
-    /// All allocated wires across the five channels.
-    pub wires: Vec<TopoWire>,
-    /// `(source, dependent)` out-of-band couplings declared via
-    /// [`Sim::couple`](crate::Sim::couple), in declaration order.
-    pub couples: Vec<(usize, usize)>,
+    components: Vec<TopoComponent>,
+    wires: Vec<TopoWire>,
+    couples: Vec<(usize, usize)>,
+    index: WireIndex,
+}
+
+/// One declared endpoint of a wire: which component, in which direction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct WireEnd {
+    /// Registration index of the declaring component.
+    pub component: usize,
+    /// The component's relation to the wire.
+    pub dir: PortDir,
+}
+
+/// Dense integer keys over every `(channel, wire)` pair a [`Topology`]'s
+/// components declare, with each key's endpoints.
+///
+/// Keys are positions in the sorted, deduplicated list of declared pairs,
+/// so key order is `(channel label, wire index)` order and the number of
+/// keys is at most the number of declared ports — a port naming wire
+/// `usize::MAX` or an unknown channel label gets a key like any other,
+/// and nothing is sized by a wire index.
+#[derive(Clone, Debug, Default)]
+pub struct WireIndex {
+    /// The declared pairs in key order.
+    pairs: Vec<(&'static str, usize)>,
+    /// Per key, the ordinal of its channel label among the distinct
+    /// labels (in label order).
+    channel_of: Vec<usize>,
+    /// Number of distinct channel labels.
+    channels: usize,
+    /// Component `c`'s port keys are `port_keys[port_start[c]..port_start[c + 1]]`,
+    /// parallel to its declared ports.
+    port_start: Vec<usize>,
+    port_keys: Vec<usize>,
+    /// Key `k`'s endpoints are `ends[end_start[k]..end_start[k + 1]]`,
+    /// in registration order, then port order.
+    end_start: Vec<usize>,
+    ends: Vec<WireEnd>,
+}
+
+impl WireIndex {
+    fn build(components: &[TopoComponent]) -> Self {
+        let total: usize = components.iter().map(|c| c.ports.len()).sum();
+        // Every port as (label slot, wire, port ordinal), label slots in
+        // first-seen order, plus its endpoint record.
+        let mut labels: Vec<&'static str> = Vec::new();
+        let mut port_start = Vec::with_capacity(components.len() + 1);
+        let mut declared: Vec<WireEnd> = Vec::with_capacity(total);
+        let mut sorted: Vec<(usize, usize, usize)> = Vec::with_capacity(total);
+        port_start.push(0);
+        for (component, c) in components.iter().enumerate() {
+            for p in &c.ports {
+                let slot = match labels.iter().position(|&l| l == p.channel) {
+                    Some(slot) => slot,
+                    None => {
+                        labels.push(p.channel);
+                        labels.len() - 1
+                    }
+                };
+                sorted.push((slot, p.wire, declared.len()));
+                declared.push(WireEnd {
+                    component,
+                    dir: p.dir,
+                });
+            }
+            port_start.push(declared.len());
+        }
+        // Replace slots by label ranks, so sorting integers orders the
+        // ports by (label, wire) and, within a pair, by registration and
+        // port order.
+        let mut by_rank: Vec<usize> = (0..labels.len()).collect();
+        by_rank.sort_unstable_by_key(|&slot| labels[slot]);
+        let mut rank_of = vec![0; labels.len()];
+        for (rank, &slot) in by_rank.iter().enumerate() {
+            rank_of[slot] = rank;
+        }
+        for entry in &mut sorted {
+            entry.0 = rank_of[entry.0];
+        }
+        sorted.sort_unstable();
+        // One sweep assigns the keys and lays out each key's endpoints.
+        let mut pairs = Vec::with_capacity(total);
+        let mut channel_of = Vec::with_capacity(total);
+        let mut port_keys = vec![0; total];
+        let mut end_start = Vec::with_capacity(total + 1);
+        let mut ends = Vec::with_capacity(total);
+        for (i, &(rank, wire, port)) in sorted.iter().enumerate() {
+            if i == 0 || (sorted[i - 1].0, sorted[i - 1].1) != (rank, wire) {
+                pairs.push((labels[by_rank[rank]], wire));
+                channel_of.push(rank);
+                end_start.push(i);
+            }
+            port_keys[port] = pairs.len() - 1;
+            ends.push(declared[port]);
+        }
+        end_start.push(total);
+        Self {
+            pairs,
+            channel_of,
+            channels: labels.len(),
+            port_start,
+            port_keys,
+            end_start,
+            ends,
+        }
+    }
+
+    /// Number of keys: distinct declared `(channel, wire)` pairs.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// `true` when no component declares any port.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The `(channel, wire)` pair of `key`.
+    pub fn pair(&self, key: usize) -> (&'static str, usize) {
+        self.pairs[key]
+    }
+
+    /// The key of a declared `(channel, wire)` pair, or `None` when no
+    /// component declares it.
+    pub fn key(&self, channel: &str, wire: usize) -> Option<usize> {
+        self.pairs.binary_search(&(channel, wire)).ok()
+    }
+
+    /// Number of distinct channel labels among the declared pairs.
+    pub fn channel_count(&self) -> usize {
+        self.channels
+    }
+
+    /// Ordinal of `key`'s channel label among the distinct labels, in
+    /// `0..channel_count()`; keys of one label share it.
+    pub fn channel_of(&self, key: usize) -> usize {
+        self.channel_of[key]
+    }
+
+    /// The keys of component `component`'s declared ports, parallel to
+    /// [`TopoComponent::ports`].
+    pub fn port_keys(&self, component: usize) -> &[usize] {
+        &self.port_keys[self.port_start[component]..self.port_start[component + 1]]
+    }
+
+    /// Every declared endpoint of `key`, in registration order, then
+    /// port order; a component declaring the pair twice appears twice.
+    pub fn ends(&self, key: usize) -> &[WireEnd] {
+        &self.ends[self.end_start[key]..self.end_start[key + 1]]
+    }
 }
 
 /// Disjoint-set forest over component indices (island computation).
@@ -139,6 +289,27 @@ impl UnionFind {
 }
 
 impl Topology {
+    /// Assembles a snapshot from raw declarations and builds its
+    /// [`WireIndex`]. `components` must be in registration order, each
+    /// [`TopoComponent::index`] equal to its position.
+    pub fn new(
+        components: Vec<TopoComponent>,
+        wires: Vec<TopoWire>,
+        couples: Vec<(usize, usize)>,
+    ) -> Self {
+        debug_assert!(
+            components.iter().enumerate().all(|(i, c)| c.index == i),
+            "components must be in registration order"
+        );
+        let index = WireIndex::build(&components);
+        Self {
+            components,
+            wires,
+            couples,
+            index,
+        }
+    }
+
     /// Assembles a topology from registered components, the wire pool, and
     /// the declared couples.
     pub(crate) fn collect(
@@ -146,8 +317,8 @@ impl Topology {
         pool: &ChannelPool,
         couples: &[(usize, usize)],
     ) -> Self {
-        Self {
-            components: components
+        Self::new(
+            components
                 .iter()
                 .enumerate()
                 .map(|(index, c)| TopoComponent {
@@ -156,9 +327,30 @@ impl Topology {
                     ports: c.ports(),
                 })
                 .collect(),
-            wires: pool.wire_table(),
-            couples: couples.to_vec(),
-        }
+            pool.wire_table(),
+            couples.to_vec(),
+        )
+    }
+
+    /// Components in registration (tick) order.
+    pub fn components(&self) -> &[TopoComponent] {
+        &self.components
+    }
+
+    /// All allocated wires across the five channels.
+    pub fn wires(&self) -> &[TopoWire] {
+        &self.wires
+    }
+
+    /// `(source, dependent)` out-of-band couplings declared via
+    /// [`Sim::couple`](crate::Sim::couple), in declaration order.
+    pub fn couples(&self) -> &[(usize, usize)] {
+        &self.couples
+    }
+
+    /// The dense index over the declared wire endpoints.
+    pub fn wire_index(&self) -> &WireIndex {
+        &self.index
     }
 
     /// Number of components that declared no ports (opaque to graph
@@ -180,7 +372,7 @@ impl Topology {
     /// Islands are ordered by their smallest member; members are in
     /// registration order. Deterministic for a given topology.
     pub fn islands(&self) -> Vec<Vec<usize>> {
-        self.islands_with(&[])
+        self.partition(&self.couples, &[])
     }
 
     /// Like [`Topology::islands`], but with additional undirected
@@ -188,50 +380,51 @@ impl Topology {
     /// static analyzers use this to fold in zero-latency couplings that
     /// live outside the topology proper.
     pub fn islands_with(&self, extra_edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
+        self.partition(&self.couples, extra_edges)
+    }
+
+    /// Like [`Topology::islands`], but over shared wires alone: the
+    /// declared couples are left out.
+    pub fn wire_islands(&self) -> Vec<Vec<usize>> {
+        self.partition(&[], &[])
+    }
+
+    fn partition(
+        &self,
+        couples: &[(usize, usize)],
+        extra_edges: &[(usize, usize)],
+    ) -> Vec<Vec<usize>> {
         let n = self.components.len();
         let mut uf = UnionFind::new(n);
         // Every pair of declared endpoints of one wire is dependent: they
         // share the wire's queue (capacity freed by a pop is visible to the
         // driver; taps observe pushes same-cycle).
-        let mut by_wire: BTreeMap<(&str, usize), usize> = BTreeMap::new();
-        for c in &self.components {
-            for p in &c.ports {
-                match by_wire.get(&(p.channel, p.wire)) {
-                    Some(&first) => uf.union(first, c.index),
-                    None => {
-                        by_wire.insert((p.channel, p.wire), c.index);
-                    }
+        for key in 0..self.index.len() {
+            if let Some((first, rest)) = self.index.ends(key).split_first() {
+                for end in rest {
+                    uf.union(first.component, end.component);
                 }
             }
         }
-        for &(source, dependent) in &self.couples {
-            if source < n && dependent < n {
-                uf.union(source, dependent);
-            }
-        }
-        for &(a, b) in extra_edges {
+        for &(a, b) in couples.iter().chain(extra_edges) {
             if a < n && b < n {
                 uf.union(a, b);
             }
         }
-        for c in &self.components {
-            if c.is_opaque() {
-                for other in 0..n {
-                    uf.union(c.index, other);
-                }
+        if let Some(opaque) = self.components.iter().position(TopoComponent::is_opaque) {
+            for other in 0..n {
+                uf.union(opaque, other);
             }
         }
         let mut islands: Vec<Vec<usize>> = Vec::new();
-        let mut island_of_root: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut island_of_root = vec![usize::MAX; n];
         for i in 0..n {
             let root = uf.find(i);
-            match island_of_root.get(&root) {
-                Some(&k) => islands[k].push(i),
-                None => {
-                    island_of_root.insert(root, islands.len());
-                    islands.push(vec![i]);
-                }
+            if island_of_root[root] == usize::MAX {
+                island_of_root[root] = islands.len();
+                islands.push(Vec::new());
             }
+            islands[island_of_root[root]].push(i);
         }
         islands
     }
@@ -291,6 +484,62 @@ mod tests {
         assert_eq!(r.dir, PortDir::Consume);
         // Wire capacities come from the pool.
         assert!(topo.wires.iter().all(|w| w.capacity == 2));
+    }
+
+    #[test]
+    fn wire_index_keys_declared_pairs_in_label_then_wire_order() {
+        let port = |channel, wire, dir| PortDecl::new(channel, wire, dir);
+        let component = |index, ports| TopoComponent {
+            index,
+            name: format!("c{index}"),
+            ports,
+        };
+        let topo = Topology::new(
+            vec![
+                component(
+                    0,
+                    vec![
+                        port("W", 1, PortDir::Drive),
+                        port("AW", usize::MAX, PortDir::Drive),
+                        port("W", 1, PortDir::Observe),
+                    ],
+                ),
+                component(1, Vec::new()),
+                component(
+                    2,
+                    vec![
+                        port("XY", 0, PortDir::Consume),
+                        port("W", 1, PortDir::Consume),
+                    ],
+                ),
+            ],
+            Vec::new(),
+            Vec::new(),
+        );
+        let index = topo.wire_index();
+        // Three distinct pairs, however large the wire index: keys are
+        // positions in the sorted pair list.
+        assert_eq!(index.len(), 3);
+        let pairs: Vec<_> = (0..3).map(|k| index.pair(k)).collect();
+        assert_eq!(pairs, [("AW", usize::MAX), ("W", 1), ("XY", 0)]);
+        assert_eq!(index.key("W", 1), Some(1));
+        assert_eq!(index.key("W", 0), None);
+        assert_eq!(index.channel_count(), 3);
+        assert_eq!(index.port_keys(0), [1, 0, 1]);
+        assert!(index.port_keys(1).is_empty());
+        assert_eq!(index.port_keys(2), [2, 1]);
+        // Endpoints in registration order, then port order.
+        let ends: Vec<_> = index.ends(1).iter().map(|e| (e.component, e.dir)).collect();
+        assert_eq!(
+            ends,
+            [
+                (0, PortDir::Drive),
+                (0, PortDir::Observe),
+                (2, PortDir::Consume)
+            ]
+        );
+        // The opaque component collapses the islands, as ever.
+        assert_eq!(topo.islands(), vec![vec![0, 1, 2]]);
     }
 
     #[test]

@@ -366,16 +366,22 @@ impl Testbench {
         // Feasibility findings are warnings (the paper's own Fig. 6b
         // configuration over-subscribes the LLC); only structural errors
         // abort construction.
-        if realm_lint::enabled_by_env() {
-            realm_lint::apply("testbench", &tb.lint_report());
-        }
-
+        //
         // Beat-batching plan from the static dependence analysis (Pass C):
         // which components sit on uncontended point-to-point paths. Fed
         // unconditionally — it is structural permission only, consulted by
         // the arena kernel before opening a batch window and ignored by
         // every other kernel, so results stay bit-identical either way.
-        let (partition, _) = realm_lint::analyze_deps(&tb.sim.topology(), &tb.lint_model());
+        // The analysis computes the partition anyway, so Pass C runs once.
+        let topology = tb.sim.topology();
+        let model = tb.lint_model();
+        let partition = if realm_lint::enabled_by_env() {
+            let (report, partition) = realm_lint::analyze_with_partition(&topology, &model);
+            realm_lint::apply("testbench", &report);
+            partition
+        } else {
+            realm_lint::analyze_deps(&topology, &model).0
+        };
         tb.sim.set_batch_plan(partition.batch_allowed);
         tb
     }

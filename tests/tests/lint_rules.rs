@@ -5,11 +5,11 @@
 
 use axi4::Addr;
 use axi_realm::{DesignConfig, RegionConfig, RuntimeConfig};
-use axi_sim::{AxiBundle, Component, PortDecl, Sim, TickCtx};
+use axi_sim::{AxiBundle, Component, PortDecl, PortDir, Sim, TickCtx};
 use axi_traffic::FuzzSpec;
 use cheshire_soc::{Regulation, Testbench, TestbenchConfig, LLC_BASE};
 use proptest::prelude::*;
-use realm_lint::{analyze, Severity, SystemModel};
+use realm_lint::{analyze, analyze_with_partition, Severity, SystemModel};
 
 /// A component that declares the manager side of one bundle and does
 /// nothing — enough to give wires a driver/consumer for graph fixtures.
@@ -111,6 +111,59 @@ fn golden_wire_doubly_driven() {
     assert!(diags.iter().all(|d| d.severity == Severity::Error));
     let aw = diags.iter().find(|d| d.path == "AW[0]").expect("AW");
     assert!(aw.message.contains("mgr, mgr"));
+}
+
+#[test]
+fn golden_wire_unallocated() {
+    // A well-formed manager/subordinate pair plus a component whose ports
+    // name wire `usize::MAX` and a channel label no pool has. Pass A must
+    // name both; no analysis may panic, overflow, or size anything by the
+    // wire index (a table of `usize::MAX + 1` entries would abort here).
+    struct Bad;
+    impl Component for Bad {
+        fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+        fn name(&self) -> &str {
+            "bad"
+        }
+        fn ports(&self) -> Vec<PortDecl> {
+            vec![
+                PortDecl::new("AW", usize::MAX, PortDir::Drive),
+                PortDecl::new("XY", 0, PortDir::Consume),
+                PortDecl::new("AW", 0, PortDir::Observe),
+            ]
+        }
+    }
+    let mut sim = Sim::new();
+    let b = AxiBundle::with_defaults(sim.pool_mut());
+    sim.add(Mgr(b));
+    sim.add(Sub(b));
+    sim.add(Bad);
+    let topo = sim.topology();
+    let (report, partition) = analyze_with_partition(&topo, &SystemModel::new());
+    let diags = report.by_rule("wire-unallocated");
+    assert_eq!(diags.len(), 2, "{report}");
+    assert!(diags.iter().all(|d| d.severity == Severity::Error));
+    let max = format!("AW[{}]", usize::MAX);
+    let huge = diags
+        .iter()
+        .find(|d| d.path == max)
+        .expect("AW[usize::MAX]");
+    assert!(huge.message.contains("declared by bad"), "{}", huge.message);
+    assert!(diags.iter().any(|d| d.path == "XY[0]"), "{report}");
+    assert!(!report.is_clean());
+    // The real wires stay well-formed, and the observer tap on AW[0]
+    // still joins `bad` to the pair's island.
+    assert!(report.by_rule("wire-dangling").is_empty(), "{report}");
+    assert_eq!(partition.islands, vec![vec![0, 1, 2]]);
+    assert_eq!(topo.islands(), partition.islands);
+    assert_eq!(topo.wire_index().len(), 7, "5 bundle wires + 2 bad pairs");
+    // The kernels and the access sanitizer skip the undeclared endpoints
+    // at run time.
+    sim.set_sanitize(true);
+    sim.run(4);
+    sim.set_kernel_mode(axi_sim::KernelMode::Step);
+    sim.run(4);
+    assert_eq!(sim.cycle(), 8);
 }
 
 #[test]
