@@ -80,17 +80,6 @@ pub struct DepEdge {
     pub wire: Option<(&'static str, usize)>,
 }
 
-impl DepEdge {
-    /// The carrier as text: `AW[3]` for a wire edge, `couple`/`comb`
-    /// otherwise.
-    pub fn via(&self) -> String {
-        match self.wire {
-            Some((channel, index)) => format!("{channel}[{index}]"),
-            None => self.kind.label().to_owned(),
-        }
-    }
-}
-
 /// The static dependence artifact for one system: every edge, the island
 /// partition, and the deterministic evaluation schedule.
 #[derive(Clone, Debug, Default)]

@@ -317,7 +317,10 @@ proptest! {
             .edges
             .iter()
             .filter(|e| e.kind == DepEdgeKind::Wire)
-            .map(|e| (e.from, e.to, e.via()))
+            .map(|e| {
+                let (channel, index) = e.wire.expect("wire edges name their wire");
+                (e.from, e.to, format!("{channel}[{index}]"))
+            })
             .collect();
         prop_assert_eq!(wire_edges, ref_wire_edges(&topo));
         prop_assert_eq!(&partition.islands, &ref_islands(&topo, true, &comb_pairs));
