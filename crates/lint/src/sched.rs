@@ -137,8 +137,9 @@ impl Partition {
     /// Renders the partition as a single JSON object:
     ///
     /// ```json
-    /// {"components":N,"opaque":N,"island_count":N,"largest_island":N,
-    ///  "schedule_depth":N,"edges":{"wire":N,"couple":N,"comb":N},
+    /// {"components":N,"opaque":N,"batch_approved":N,"island_count":N,
+    ///  "largest_island":N,"schedule_depth":N,
+    ///  "edges":{"wire":N,"couple":N,"comb":N},
     ///  "islands":[["name",...],...],"schedule":["name",...]}
     /// ```
     pub fn to_json(&self) -> String {
