@@ -52,7 +52,7 @@
 //! by wire name, and nothing is sized by a wire index, so a port naming
 //! wire `usize::MAX` or an unknown channel costs one key (and a
 //! `wire-unallocated` error). [`analyze`] runs Pass C on the way;
-//! [`analyze_with_partition`] hands its [`Partition`] back, so a builder
+//! [`analyze_with_partition`] hands its [`Partition`] back, so a caller
 //! that needs both the verdict and the batch plan runs each pass once.
 //! Testbenches do exactly that at construction (with `REALM_LINT=0` they
 //! skip Pass A and run Pass C alone, for the batch plan); the fuzz rig's

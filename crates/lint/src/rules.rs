@@ -23,7 +23,7 @@ pub fn analyze(topo: &Topology, model: &SystemModel) -> Report {
 }
 
 /// Runs every rule, like [`analyze`], and also returns the Pass C
-/// [`Partition`] the analysis computes on the way — a builder that needs
+/// [`Partition`] the analysis computes on the way — a caller that needs
 /// both the verdict and the batch plan runs Pass C once, not twice.
 pub fn analyze_with_partition(topo: &Topology, model: &SystemModel) -> (Report, Partition) {
     let mut report = Report::new();
