@@ -1,8 +1,5 @@
-//! Micro-benchmarks of the arena `ChannelPool` hot paths: index-addressed
-//! ring push/pop against a `VecDeque` baseline, and bulk batch-window
-//! moves against their per-element equivalent. The same workloads feed the
-//! `pool_microbench` binary, which records the means in
-//! `BENCH_kernel.json`.
+//! Micro-benchmarks of the arena `ChannelPool` hot paths: one ring's
+//! per-cycle push/pop and a per-cycle relay between two rings.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -16,20 +13,8 @@ fn bench_channel_pool(c: &mut Criterion) {
     group.bench_function("ring_push_pop", |b| {
         b.iter(|| poolbench::ring_push_pop(black_box(OPS)))
     });
-    group.bench_function("vecdeque_push_pop", |b| {
-        b.iter(|| poolbench::vecdeque_push_pop(black_box(OPS)))
-    });
     group.bench_function("ring_relay_per_cycle", |b| {
         b.iter(|| poolbench::ring_relay_per_cycle(black_box(OPS)))
-    });
-    group.bench_function("ring_batch_move", |b| {
-        b.iter(|| poolbench::ring_batch_move(black_box(OPS)))
-    });
-    group.bench_function("vecdeque_relay_per_cycle", |b| {
-        b.iter(|| poolbench::vecdeque_relay_per_cycle(black_box(OPS)))
-    });
-    group.bench_function("vecdeque_batch_move", |b| {
-        b.iter(|| poolbench::vecdeque_batch_move(black_box(OPS)))
     });
     group.finish();
 }

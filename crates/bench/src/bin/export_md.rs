@@ -14,8 +14,8 @@ use realm_bench::ExperimentReport;
 
 /// Renders the kernel baseline (`BENCH_kernel.json` at the repo root, if
 /// present) as a Markdown section: which kernel ran, its throughput, how
-/// much work fast-forwarding and beat-batching elided, and the
-/// self-profiler's per-component visit counts.
+/// much work fast-forwarding elided, and the self-profiler's
+/// per-component visit counts.
 fn kernel_section() -> Option<String> {
     let text = fs::read_to_string("BENCH_kernel.json").ok()?;
     let doc = json::parse(&text).ok()?;
@@ -37,19 +37,14 @@ fn kernel_section() -> Option<String> {
         str_of("kernel"),
         int_of("threads"),
     );
+    let _ = writeln!(out, "| cycles/s | ticks executed | cycles skipped |");
+    let _ = writeln!(out, "|---|---|---|");
     let _ = writeln!(
         out,
-        "| cycles/s | ticks executed | cycles skipped | batched beats | batch windows |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    let _ = writeln!(
-        out,
-        "| {:.2}M | {} | {} | {} | {} |",
+        "| {:.2}M | {} | {} |",
         num_of("cycles_per_sec") / 1e6,
         int_of("ticks_executed"),
         int_of("cycles_skipped"),
-        int_of("batched_beats"),
-        int_of("batch_windows"),
     );
     if let Some(profile) = doc.get("profile").and_then(Json::as_arr) {
         let _ = writeln!(
@@ -57,18 +52,14 @@ fn kernel_section() -> Option<String> {
             "\nSelf-profile (one representative run; `wall_ns` is 0 unless built \
              with `--features self-profile`):\n"
         );
-        let _ = writeln!(out, "| component | visits | batch cycles | wall_ns |");
-        let _ = writeln!(out, "|---|---|---|---|");
+        let _ = writeln!(out, "| component | visits | wall_ns |");
+        let _ = writeln!(out, "|---|---|---|");
         for entry in profile {
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} |",
+                "| {} | {} | {} |",
                 entry.get("name").and_then(Json::as_str).unwrap_or("?"),
                 entry.get("visits").and_then(Json::as_u64).unwrap_or(0),
-                entry
-                    .get("batch_cycles")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
                 entry.get("wall_ns").and_then(Json::as_u64).unwrap_or(0),
             );
         }

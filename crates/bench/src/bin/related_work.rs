@@ -180,12 +180,6 @@ fn build(regulator: Regulator, dma: bool, staller: bool, accesses: u64) -> Scena
         );
     }
 
-    // Feed Pass C's beat-batching plan, as the SoC testbench does. The
-    // stepping kernel ignores it; under the arena kernel the enabled units
-    // pin their horizons at zero, so results stay bit-identical.
-    let (partition, _) = realm_lint::analyze_deps(&sim.topology(), &realm_lint::SystemModel::new());
-    sim.set_batch_plan(partition.batch_allowed);
-
     Scenario { core, sim, rig }
 }
 
@@ -270,8 +264,7 @@ fn main() {
             component_ticks: k1.component_ticks + k2.component_ticks,
             component_skips: k1.component_skips + k2.component_skips,
             wire_events: k1.wire_events + k2.wire_events,
-            batched_beats: k1.batched_beats + k2.batched_beats,
-            batch_windows: k1.batch_windows + k2.batch_windows,
+            ..KernelStats::default()
         };
         // The point's telemetry, like its kernel counters, sums both legs.
         let mut telemetry = s.sim.telemetry();

@@ -1,23 +1,19 @@
-//! Micro-workloads for the arena `ChannelPool`: the index-addressed ring
-//! hot path against a `VecDeque` baseline, per-cycle against bulk
-//! batch-window moves.
+//! Micro-workloads for the arena `ChannelPool`'s per-cycle hot path: one
+//! ring's push/pop and a relay between two rings.
 //!
-//! The same four workloads back two consumers: the `channel_pool`
-//! criterion bench (interactive wall-clock numbers) and the
-//! `pool_microbench` binary, which appends mean ns-per-beat figures to
-//! `BENCH_kernel.json` next to the kernel sweep baseline.
-
-use std::collections::VecDeque;
+//! The benchmark's `sim.pool_push_pop_ns` and `sim.pool_relay_ns` time
+//! these probes; the `channel_pool` criterion bench runs them
+//! interactively.
 
 use axi4::{BBeat, TxnId};
-use axi_sim::{ChannelPool, WireId};
+use axi_sim::ChannelPool;
 
 /// Ring capacity used by every workload — the default per-wire depth the
 /// simulated bundles run with.
 pub const RING_CAP: usize = 8;
 
-/// Beats moved per simulated batch window in the bulk workloads.
-pub const BATCH: u64 = 6;
+/// Beats per window in [`ring_relay_per_cycle`].
+const WINDOW: u64 = 6;
 
 fn beat(k: u64) -> BBeat {
     BBeat::okay(TxnId::new((k & 0xffff) as u32))
@@ -40,44 +36,30 @@ pub fn ring_push_pop(ops: u64) -> u64 {
     sum
 }
 
-/// The same per-cycle relay against a `VecDeque` of `(cycle, beat)` pairs
-/// with the pool's visibility rule (`pushed < cycle`) checked per pop —
-/// the layout the arena rings replaced.
-pub fn vecdeque_push_pop(ops: u64) -> u64 {
-    let mut queue: VecDeque<(u64, BBeat)> = VecDeque::with_capacity(RING_CAP);
-    let mut sum = 0u64;
-    for c in 0..ops {
-        if queue.front().is_some_and(|&(pushed, _)| pushed < c) {
-            let (_, b) = queue.pop_front().expect("front checked");
-            sum = sum.wrapping_add(u64::from(b.id.raw()));
-        }
-        queue.push_back((c, beat(c)));
-    }
-    sum
-}
-
-/// Shared harness for the relay workloads: per window, preload [`BATCH`]
-/// beats on the source (stamped on consecutive cycles, as a per-cycle
-/// producer leaves them), move them with `relay`, drain the destination.
-/// Every variant pays identical preload/drain costs, so per-beat deltas
-/// between them isolate the move itself.
-fn pool_relay_windows(
-    ops: u64,
-    relay: impl Fn(&mut ChannelPool, WireId<BBeat>, WireId<BBeat>, u64) -> u64,
-) -> u64 {
+/// One beat relayed per cycle between two pool rings, in windows: per
+/// window, preload `WINDOW` (six) beats on the source (stamped on consecutive
+/// cycles, as a per-cycle producer leaves them), relay them with one `pop`
+/// and one `push` per beat and cycle, then drain the destination. Returns
+/// a checksum so the work cannot be elided.
+pub fn ring_relay_per_cycle(ops: u64) -> u64 {
     let mut pool = ChannelPool::new();
     let src = pool.new_wire::<BBeat>(RING_CAP);
     let dst = pool.new_wire::<BBeat>(RING_CAP);
     let mut sum = 0u64;
     let mut c = 0u64;
-    let windows = ops / BATCH;
-    for _ in 0..windows {
-        for _ in 0..BATCH {
+    for _ in 0..ops / WINDOW {
+        for _ in 0..WINDOW {
             pool.push(src, c, beat(c));
             c += 1;
         }
-        let moved = relay(&mut pool, src, dst, c);
-        debug_assert_eq!(moved, BATCH);
+        let mut moved = 0u64;
+        while moved < WINDOW {
+            let cycle = c + moved;
+            let Some(b) = pool.pop(src, cycle) else { break };
+            pool.push(dst, cycle, b);
+            moved += 1;
+        }
+        debug_assert_eq!(moved, WINDOW);
         for _ in 0..moved {
             if let Some(b) = pool.pop(dst, c + 1) {
                 sum = sum.wrapping_add(u64::from(b.id.raw()));
@@ -89,111 +71,21 @@ fn pool_relay_windows(
     sum
 }
 
-/// One batch window relayed per cycle-pair, the pre-batching way: one
-/// `pop` + one `push` per beat with per-cycle re-stamping.
-pub fn ring_relay_per_cycle(ops: u64) -> u64 {
-    pool_relay_windows(ops, |pool, src, dst, start| {
-        let mut k = 0u64;
-        while k < BATCH {
-            let cycle = start + k;
-            let Some(b) = pool.pop(src, cycle) else { break };
-            pool.push(dst, cycle, b);
-            k += 1;
-        }
-        k
-    })
-}
-
-/// The same window moved in one [`ChannelPool::batch_relay`] sweep — the
-/// bulk copy a batch window executes.
-pub fn ring_batch_move(ops: u64) -> u64 {
-    pool_relay_windows(ops, |pool, src, dst, start| {
-        pool.batch_relay(src, dst, start, BATCH)
-    })
-}
-
-/// Shared harness for the `VecDeque` relay baselines, mirroring
-/// [`pool_relay_windows`] element for element.
-fn deque_relay_windows(
-    ops: u64,
-    relay: impl Fn(&mut VecDeque<(u64, BBeat)>, &mut VecDeque<(u64, BBeat)>, u64) -> u64,
-) -> u64 {
-    let mut src: VecDeque<(u64, BBeat)> = VecDeque::with_capacity(RING_CAP);
-    let mut dst: VecDeque<(u64, BBeat)> = VecDeque::with_capacity(RING_CAP);
-    let mut sum = 0u64;
-    let mut c = 0u64;
-    let windows = ops / BATCH;
-    for _ in 0..windows {
-        for _ in 0..BATCH {
-            src.push_back((c, beat(c)));
-            c += 1;
-        }
-        let moved = relay(&mut src, &mut dst, c);
-        debug_assert_eq!(moved, BATCH);
-        for _ in 0..moved {
-            if let Some((_, b)) = dst.pop_front() {
-                sum = sum.wrapping_add(u64::from(b.id.raw()));
-            }
-            c += 1;
-        }
-        c += 1;
-    }
-    sum
-}
-
-/// `VecDeque` window move, one element at a time with the visibility rule
-/// checked per beat — what the per-cycle relay cost in the pre-arena
-/// layout.
-pub fn vecdeque_relay_per_cycle(ops: u64) -> u64 {
-    deque_relay_windows(ops, |src, dst, start| {
-        let mut k = 0u64;
-        while k < BATCH {
-            let cycle = start + k;
-            match src.front() {
-                Some(&(pushed, _)) if pushed < cycle && dst.len() < RING_CAP => {
-                    let (_, b) = src.pop_front().expect("front checked");
-                    dst.push_back((cycle, b));
-                    k += 1;
-                }
-                _ => break,
-            }
-        }
-        k
-    })
-}
-
-/// `VecDeque` bulk window move via `drain`/`extend` — the closest a
-/// pointer-chasing deque gets to the ring's contiguous sweep.
-pub fn vecdeque_batch_move(ops: u64) -> u64 {
-    deque_relay_windows(ops, |src, dst, start| {
-        let take = usize::try_from(BATCH)
-            .expect("small window") // full window visible
-            .min(src.len())
-            .min(RING_CAP - dst.len());
-        let mut cycle = start;
-        dst.extend(src.drain(..take).map(|(_, b)| {
-            let stamped = (cycle, b);
-            cycle += 1;
-            stamped
-        }));
-        take as u64
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The ring and VecDeque variants model the same transfer discipline:
-    /// identical beat streams produce identical checksums, so the bench
-    /// compares implementations, not workloads.
+    /// Both probes move every beat they push through to the checksum, so
+    /// the timed work cannot be elided.
     #[test]
-    fn variants_agree_on_the_moved_beats() {
-        assert_eq!(ring_push_pop(4096), vecdeque_push_pop(4096));
-        assert_eq!(ring_batch_move(4096), ring_relay_per_cycle(4096));
-        assert_eq!(ring_batch_move(4096), vecdeque_relay_per_cycle(4096));
-        assert_eq!(ring_batch_move(4096), vecdeque_batch_move(4096));
-        assert_ne!(ring_push_pop(512), 0);
-        assert_ne!(ring_batch_move(512), 0);
+    fn probes_move_every_beat() {
+        // Push/pop: every beat but the last one pushed is popped.
+        assert_eq!(ring_push_pop(4096), (0..4095).sum::<u64>());
+        // Relay: window `w` preloads the beats of cycles `13w..13w + 6`
+        // (six preload cycles, six relay cycles, one spare).
+        let relayed: u64 = (0..4096 / WINDOW)
+            .flat_map(|w| (0..WINDOW).map(move |j| w * (2 * WINDOW + 1) + j))
+            .sum();
+        assert_eq!(ring_relay_per_cycle(4096), relayed);
     }
 }

@@ -102,17 +102,6 @@ impl<R> SweepOutcome<R> {
         self.runtime.iter().map(|p| p.kernel.wire_events).sum()
     }
 
-    /// Sum of beats moved by bulk batch windows across points (a subset of
-    /// the beats `wire_events` already counts).
-    pub fn batched_beats(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.batched_beats).sum()
-    }
-
-    /// Sum of batch windows the arena kernel executed across points.
-    pub fn batch_windows(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.batch_windows).sum()
-    }
-
     /// A one-line human summary of the sweep's runtime, for stdout (not for
     /// `results/*.json`, which must stay deterministic).
     pub fn summary(&self, name: &str) -> String {
@@ -167,7 +156,7 @@ impl<R> SweepOutcome<R> {
 
     /// Like [`SweepOutcome::write_kernel_baseline_with_partition`], with the
     /// kernel self-profile of one representative run appended as a
-    /// `profile` section: per-component visit/wake/batch counts from
+    /// `profile` section: per-component visit counts from
     /// [`axi_sim::Sim::profile`], plus wall-time per component when the
     /// `self-profile` feature is on (0 otherwise — the clock reads are
     /// compiled out of default builds).
@@ -200,8 +189,6 @@ impl<R> SweepOutcome<R> {
                     ("component_ticks".to_owned(), int(p.kernel.component_ticks)),
                     ("component_skips".to_owned(), int(p.kernel.component_skips)),
                     ("wire_events".to_owned(), int(p.kernel.wire_events)),
-                    ("batched_beats".to_owned(), int(p.kernel.batched_beats)),
-                    ("batch_windows".to_owned(), int(p.kernel.batch_windows)),
                     ("cycles_per_sec".to_owned(), num(p.cycles_per_sec())),
                 ])
             })
@@ -221,8 +208,6 @@ impl<R> SweepOutcome<R> {
             ("component_ticks".to_owned(), int(self.component_ticks())),
             ("component_skips".to_owned(), int(self.component_skips())),
             ("wire_events".to_owned(), int(self.wire_events())),
-            ("batched_beats".to_owned(), int(self.batched_beats())),
-            ("batch_windows".to_owned(), int(self.batch_windows())),
             ("points".to_owned(), Json::Arr(points)),
         ];
         if let Some(p) = partition {
@@ -233,7 +218,6 @@ impl<R> SweepOutcome<R> {
                     ("islands".to_owned(), int(p.island_count() as u64)),
                     ("largest_island".to_owned(), int(p.largest_island() as u64)),
                     ("schedule_depth".to_owned(), int(p.depth as u64)),
-                    ("batch_approved".to_owned(), int(p.batch_approved() as u64)),
                 ]),
             ));
         }
@@ -333,8 +317,7 @@ mod tests {
             component_ticks: ticks * 2,
             component_skips: skipped * 2,
             wire_events: ticks,
-            batched_beats: ticks / 2,
-            batch_windows: u64::from(ticks > 1),
+            ..KernelStats::default()
         }
     }
 
@@ -360,8 +343,6 @@ mod tests {
         assert_eq!(outcome.component_ticks(), 1200);
         assert_eq!(outcome.component_skips(), 12);
         assert_eq!(outcome.wire_events(), 600);
-        assert_eq!(outcome.batched_beats(), 300);
-        assert_eq!(outcome.batch_windows(), 3);
         let rows = outcome.runtime_rows();
         assert_eq!(rows.len(), 3);
         // Runtime rows carry only the kernel-invariant total, so report
@@ -395,11 +376,6 @@ mod tests {
             point.get("component_skips"),
             Some(&crate::json::Json::Int(14))
         );
-        assert_eq!(
-            point.get("batched_beats"),
-            Some(&crate::json::Json::Int(3500))
-        );
-        assert_eq!(doc.get("batch_windows"), Some(&crate::json::Json::Int(1)));
         std::fs::remove_file(&path).ok();
     }
 

@@ -97,14 +97,6 @@ pub fn run_spec(spec: &SystemSpec) -> RunOutcome {
         scoreboard,
     } = build(spec);
 
-    // Production parity with the SoC testbench: feed Pass C's beat-batching
-    // plan to the sim. The stepping kernel ignores it; under the arena
-    // kernel the enabled units pin their horizons at zero, so fuzz runs
-    // exercise the window-gate machinery without a single observable
-    // changing. Only runs need it: `lint_spec` never simulates.
-    let (partition, _) = realm_lint::analyze_deps(&sim.topology(), &spec.model());
-    sim.set_batch_plan(partition.batch_allowed);
-
     let finished = sim.run_until(MAX_RUN_CYCLES, |s| {
         mgrs.iter()
             .all(|&id| s.component::<ScriptedManager>(id).expect("mgr").is_done())

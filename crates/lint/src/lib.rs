@@ -34,10 +34,9 @@
 //! full intra-cycle dependence graph — wire edges from port declarations,
 //! couple edges from [`Sim::couple`](axi_sim::Sim::couple), comb edges
 //! from the system model — and computes a [`Partition`]: the island
-//! decomposition (independently steppable connected components, which is
-//! why the arena kernel may order its schedule island-major; enforced at
-//! runtime by the `REALM_SANITIZE=1` access sanitizer) and a deterministic
-//! static evaluation schedule with its zero-latency depth.
+//! decomposition (independently steppable connected components; enforced
+//! at runtime by the `REALM_SANITIZE=1` access sanitizer) and a
+//! deterministic static evaluation schedule with its zero-latency depth.
 //!
 //! Feasibility findings are warnings by design: the paper's own Fig. 6b
 //! configuration over-subscribes the LLC deliberately (reservations of
@@ -51,15 +50,13 @@
 //! component's port keys and each key's endpoints. No rule keys its own map
 //! by wire name, and nothing is sized by a wire index, so a port naming
 //! wire `usize::MAX` or an unknown channel costs one key (and a
-//! `wire-unallocated` error). [`analyze`] runs Pass C on the way;
-//! [`analyze_with_partition`] hands its [`Partition`] back, so a caller
-//! that needs both the verdict and the batch plan runs each pass once.
-//! Testbenches do exactly that at construction (with `REALM_LINT=0` they
-//! skip Pass A and run Pass C alone, for the batch plan); the fuzz rig's
-//! `lint_spec` runs [`analyze`] and its `run_spec` runs [`analyze_deps`],
-//! so a fuzz system costs one Pass A and two Pass C runs. Set
-//! `REALM_LINT=0` to opt out of the startup gate and `REALM_LINT=verbose`
-//! to print warnings.
+//! `wire-unallocated` error). [`analyze`] runs Pass C on the way for its
+//! diagnostics; [`analyze_deps`] runs Pass C alone and returns its
+//! [`Partition`]. Pass C runs only where a caller reads it: once in
+//! every [`analyze`] (a testbench's startup gate, the fuzz rig's
+//! `lint_spec`), and once per `Testbench::partition` call. Set
+//! `REALM_LINT=0` to opt out of the startup gate, which then runs no
+//! analysis at all, and `REALM_LINT=verbose` to print warnings.
 //!
 //! **Runtime-checked kernel contract (`kernel-stale-hint`).** One rule in
 //! the catalogue is enforced by the arena kernel itself rather than by
@@ -96,7 +93,7 @@ mod system;
 
 pub use diag::{Diagnostic, Report, Severity};
 pub use gate::{apply, enabled_by_env, verbose_by_env};
-pub use rules::{analyze, analyze_budgets, analyze_with_partition, drain_bound_cycles};
+pub use rules::{analyze, analyze_budgets, drain_bound_cycles};
 pub use scan::{scan_source, scan_workspace, violations_to_json, Violation};
 pub use sched::{analyze_deps, DepEdge, DepEdgeKind, Partition};
 pub use system::{AddrWindow, RealmSpec, SystemModel};

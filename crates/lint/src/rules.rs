@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use axi_sim::{PortDir, Topology};
 
 use crate::diag::{Diagnostic, Report, Severity};
-use crate::sched::Partition;
 use crate::system::SystemModel;
 
 /// A fragment must stay within one DRAM/LLC page: AXI4 forbids bursts
@@ -19,13 +18,6 @@ const PAGE: u64 = 4096;
 
 /// Runs every rule. See the crate docs for the rule catalogue.
 pub fn analyze(topo: &Topology, model: &SystemModel) -> Report {
-    analyze_with_partition(topo, model).0
-}
-
-/// Runs every rule, like [`analyze`], and also returns the Pass C
-/// [`Partition`] the analysis computes on the way — a caller that needs
-/// both the verdict and the batch plan runs Pass C once, not twice.
-pub fn analyze_with_partition(topo: &Topology, model: &SystemModel) -> (Report, Partition) {
     let mut report = Report::new();
     check_wires(topo, &mut report);
     check_reachability(topo, &mut report);
@@ -38,11 +30,11 @@ pub fn analyze_with_partition(topo: &Topology, model: &SystemModel) -> (Report, 
     check_comb_cycles(model, &mut report);
     // Pass C rides along: the couple/dependence diagnostics join the
     // report, after Pass A's.
-    let (partition, deps) = crate::sched::analyze_deps(topo, model);
+    let (_, deps) = crate::sched::analyze_deps(topo, model);
     for d in deps.diagnostics() {
         report.push(d.clone());
     }
-    (report, partition)
+    report
 }
 
 /// Display key for a wire: `AW[3]`.

@@ -21,8 +21,7 @@
 //!   smallest-registration-index tie-breaking, island-major;
 //! - the **island partition**: connected components of the undirected
 //!   dependence graph. No edge of any kind crosses an island, so each
-//!   island can be stepped independently of the others — the arena
-//!   kernel's schedule is island-major for that reason, and the
+//!   island can be stepped independently of the others; the
 //!   `REALM_SANITIZE=1` access sanitizer checks at runtime that no
 //!   undeclared access escapes it.
 //!
@@ -102,14 +101,6 @@ pub struct Partition {
     pub depth: usize,
     /// Number of opaque (port-less) components.
     pub opaque: usize,
-    /// Per-component beat-batching approval, in registration order — the
-    /// plan fed to [`Sim::set_batch_plan`](axi_sim::Sim::set_batch_plan).
-    /// A component is approved when its whole wire footprint is an
-    /// uncontended point-to-point path (see `batch_plan` in
-    /// `build_partition` for the exact rule); approval is structural
-    /// permission only — the arena kernel still requires a per-cycle
-    /// `batch_horizon` promise before opening a window.
-    pub batch_allowed: Vec<bool>,
 }
 
 impl Partition {
@@ -129,15 +120,10 @@ impl Partition {
         self.edges.iter().filter(|e| e.kind == kind).count()
     }
 
-    /// Number of components the beat-batching plan approves.
-    pub fn batch_approved(&self) -> usize {
-        self.batch_allowed.iter().filter(|&&b| b).count()
-    }
-
     /// Renders the partition as a single JSON object:
     ///
     /// ```json
-    /// {"components":N,"opaque":N,"batch_approved":N,"island_count":N,
+    /// {"components":N,"opaque":N,"island_count":N,
     ///  "largest_island":N,"schedule_depth":N,
     ///  "edges":{"wire":N,"couple":N,"comb":N},
     ///  "islands":[["name",...],...],"schedule":["name",...]}
@@ -145,13 +131,11 @@ impl Partition {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"components\":{},\"opaque\":{},\"batch_approved\":{},\
-             \"island_count\":{},\
+            "{{\"components\":{},\"opaque\":{},\"island_count\":{},\
              \"largest_island\":{},\"schedule_depth\":{},\
              \"edges\":{{\"wire\":{},\"couple\":{},\"comb\":{}}},\"islands\":[",
             self.names.len(),
             self.opaque,
-            self.batch_approved(),
             self.island_count(),
             self.largest_island(),
             self.depth,
@@ -188,9 +172,8 @@ impl Partition {
 /// computes the static evaluation schedule, and reports the couple
 /// diagnostics (`couple-redundant`, `couple-merges-islands`,
 /// `dependence-unreachable`). Also run as part of
-/// [`analyze`](crate::analyze), and
-/// [`analyze_with_partition`](crate::analyze_with_partition) returns the
-/// [`Partition`] as well; call this directly when only Pass C is needed.
+/// [`analyze`](crate::analyze), which keeps only the diagnostics; call
+/// this directly when the [`Partition`] is needed.
 pub fn analyze_deps(topo: &Topology, model: &SystemModel) -> (Partition, Report) {
     let partition = build_partition(topo, model);
     let mut report = Report::new();
@@ -214,17 +197,13 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
 
     // Wire edges: driver → consumer/observer per shared wire, in key
     // order (channel, then index), which makes the emission order
-    // deterministic. The same sweep finds the point-to-point wires the
-    // batch plan needs: exactly one driving component and one consuming
-    // port.
+    // deterministic.
     let mut edges: Vec<DepEdge> = Vec::new();
-    let mut point_to_point = vec![false; index.len()];
     let mut drivers: Vec<usize> = Vec::new();
     let mut sinks: Vec<usize> = Vec::new();
-    for (key, p2p) in point_to_point.iter_mut().enumerate() {
+    for key in 0..index.len() {
         drivers.clear();
         sinks.clear();
-        let mut consumers = 0;
         for end in index.ends(key) {
             let side = match end.dir {
                 PortDir::Drive => &mut drivers,
@@ -233,9 +212,7 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
             if !side.contains(&end.component) {
                 side.push(end.component);
             }
-            consumers += usize::from(end.dir == PortDir::Consume);
         }
-        *p2p = drivers.len() == 1 && consumers == 1;
         let pair = index.pair(key);
         for &d in &drivers {
             for &s in &sinks {
@@ -339,8 +316,6 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
     }
     let depth = node_depth.into_iter().max().unwrap_or(0);
 
-    let batch_allowed = batch_plan(topo, &edges, &point_to_point);
-
     Partition {
         names,
         edges,
@@ -348,84 +323,7 @@ fn build_partition(topo: &Topology, model: &SystemModel) -> Partition {
         schedule,
         depth,
         opaque: topo.opaque_components(),
-        batch_allowed,
     }
-}
-
-/// Derives the beat-batching plan from the dependence graph: which
-/// components the arena kernel may even *ask* for a batch horizon.
-///
-/// A component is approved when one of:
-///
-/// - it is a **passive observer** — every port is `Observe`. Taps record
-///   `(cycle, beat)` pairs, so an observer's state is a pure fold over
-///   stamped records and survives any exact reordering of its ticks;
-/// - it is a **point-to-point relay or endpoint**: it has ports, it is not
-///   the source of a couple/comb edge (a flush source must tick per cycle
-///   so its dependents observe reconciled state), it never **multiplexes**
-///   a channel (at most one `Drive` and one `Consume` port per channel
-///   label — an arbiter like the crossbar fans several managers into one
-///   subordinate and its grant decisions are inherently cycle-by-cycle),
-///   and every wire it drives or consumes is **uncontended**: exactly one
-///   driving and one consuming component system-wide (observers tap
-///   passively and do not count).
-///
-/// Opaque (port-less) components are never approved — the kernel cannot
-/// bound what it cannot see.
-///
-/// `point_to_point[key]` says whether the wire of `key` is uncontended.
-fn batch_plan(topo: &Topology, edges: &[DepEdge], point_to_point: &[bool]) -> Vec<bool> {
-    let index = topo.wire_index();
-    let n = topo.components().len();
-
-    // Couple/comb sources flush their dependents before every tick; a
-    // batched source would skip those reconciliation points.
-    let mut flush_source = vec![false; n];
-    for e in edges {
-        if matches!(e.kind, DepEdgeKind::Couple | DepEdgeKind::Comb) && e.from < n {
-            flush_source[e.from] = true;
-        }
-    }
-
-    // Driven and consumed ports per channel label, reset per component.
-    let mut per_channel = vec![(0usize, 0usize); index.channel_count()];
-    topo.components()
-        .iter()
-        .map(|c| {
-            if c.ports.is_empty() {
-                return false;
-            }
-            if c.ports.iter().all(|p| p.dir == PortDir::Observe) {
-                return true;
-            }
-            if flush_source[c.index] {
-                return false;
-            }
-            let keys = index.port_keys(c.index);
-            for &k in keys {
-                per_channel[index.channel_of(k)] = (0, 0);
-            }
-            // No channel multiplexing: at most one driven and one consumed
-            // wire per channel label.
-            let mut multiplexes = false;
-            for (p, &k) in c.ports.iter().zip(keys) {
-                let (drives, consumes) = &mut per_channel[index.channel_of(k)];
-                match p.dir {
-                    PortDir::Drive => *drives += 1,
-                    PortDir::Consume => *consumes += 1,
-                    PortDir::Observe => {}
-                }
-                multiplexes |= *drives > 1 || *consumes > 1;
-            }
-            if multiplexes {
-                return false;
-            }
-            c.ports
-                .iter()
-                .zip(keys)
-                .all(|(p, &k)| p.dir == PortDir::Observe || point_to_point[k])
-        })
-        .collect()
 }
 
 /// `couple-redundant`: a couple between two components that already share
@@ -723,138 +621,7 @@ mod tests {
         let j = p.to_json();
         assert!(j.starts_with("{\"components\":2,"));
         assert!(j.contains("\"island_count\":1"));
-        assert!(j.contains("\"batch_approved\":2"));
         assert!(j.contains("\"schedule\":[\"mgr\",\"sub\"]"));
         assert!(j.ends_with("]}"));
-    }
-
-    #[test]
-    fn batch_plan_approves_point_to_point_pair() {
-        // mgr → sub over one bundle: every wire has exactly one driver and
-        // one consumer, neither side multiplexes.
-        let (sim, _, _) = pair(("mgr", "sub"));
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![true, true]);
-        assert_eq!(p.batch_approved(), 2);
-    }
-
-    #[test]
-    fn batch_plan_rejects_multiplexers_and_contended_wires() {
-        // Two managers share one subordinate bundle: the wires have two
-        // drivers (AW/W/AR) or two consumers (B/R), and the "arbiter"
-        // stand-in consumes two AW wires. Nobody batches.
-        let mut sim = Sim::new();
-        let bundle = AxiBundle::with_defaults(sim.pool_mut());
-        sim.add(Mgr {
-            bundle,
-            name: "mgr_a",
-        });
-        sim.add(Mgr {
-            bundle,
-            name: "mgr_b",
-        });
-        sim.add(Sub {
-            bundle,
-            name: "sub",
-        });
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false, false, false]);
-    }
-
-    #[test]
-    fn batch_plan_rejects_a_component_consuming_two_wires_of_one_channel() {
-        // Two managers each drive their own AW wire into one joiner: both
-        // wires are point-to-point, but the joiner consumes two AW wires,
-        // i.e. arbitrates between them every cycle.
-        struct Join {
-            left: AxiBundle,
-            right: AxiBundle,
-        }
-        impl Component for Join {
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-            fn name(&self) -> &str {
-                "join"
-            }
-            fn ports(&self) -> Vec<PortDecl> {
-                vec![
-                    PortDecl::new("AW", self.left.aw.index(), PortDir::Consume),
-                    PortDecl::new("AW", self.right.aw.index(), PortDir::Consume),
-                ]
-            }
-        }
-        let mut sim = Sim::new();
-        let left = AxiBundle::with_defaults(sim.pool_mut());
-        let right = AxiBundle::with_defaults(sim.pool_mut());
-        sim.add(Join { left, right });
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false]);
-        // Without the multiplexing rule both wires would qualify: each
-        // has one driver once the managers exist, and one consumer.
-        sim.add(Mgr {
-            bundle: left,
-            name: "left",
-        });
-        sim.add(Mgr {
-            bundle: right,
-            name: "right",
-        });
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert!(!p.batch_allowed[0]);
-    }
-
-    #[test]
-    fn batch_plan_rejects_couple_sources_keeps_dependents() {
-        // mmio-style flush source: the couple source must tick per cycle
-        // (it flushes its dependent first); the dependent itself stays
-        // approved — its wires are untouched by the coupling.
-        let (mut sim, mgr, sub) = pair(("mmio", "unit"));
-        sim.couple(mgr, sub);
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false, true]);
-    }
-
-    #[test]
-    fn batch_plan_approves_passive_observers() {
-        struct Watcher {
-            bundle: AxiBundle,
-        }
-        impl Component for Watcher {
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-            fn name(&self) -> &str {
-                "watcher"
-            }
-            fn ports(&self) -> Vec<PortDecl> {
-                self.bundle.observer_ports()
-            }
-        }
-        let mut sim = Sim::new();
-        let bundle = AxiBundle::with_defaults(sim.pool_mut());
-        sim.add(Mgr {
-            bundle,
-            name: "mgr",
-        });
-        sim.add(Sub {
-            bundle,
-            name: "sub",
-        });
-        sim.add(Watcher { bundle });
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        // The observer does not count against the wires' endpoint budget.
-        assert_eq!(p.batch_allowed, vec![true, true, true]);
-    }
-
-    #[test]
-    fn batch_plan_rejects_opaque_components() {
-        struct Opaque;
-        impl Component for Opaque {
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
-            fn name(&self) -> &str {
-                "opaque"
-            }
-        }
-        let mut sim = Sim::new();
-        sim.add(Opaque);
-        let (p, _) = analyze_deps(&sim.topology(), &SystemModel::new());
-        assert_eq!(p.batch_allowed, vec![false]);
     }
 }

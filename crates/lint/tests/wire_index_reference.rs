@@ -1,13 +1,13 @@
 //! The dense wire-key analyses against a string-keyed reference.
 //!
-//! Islands, Pass C's wire edges, the beat-batching plan, the
-//! `couple-redundant` finding and Pass A's wire rules all read
-//! [`WireIndex`](axi_sim::WireIndex) keys. The reference below keys plain
-//! `BTreeMap`s by `(channel label, wire index)` instead, the way the passes
-//! did before the index existed, and a property test compares the two over
-//! random declarations: unknown channel labels, wire indices past the
-//! pool's count (up to `usize::MAX`), observer-only and opaque components,
-//! couples and comb edges with out-of-range or unknown endpoints.
+//! Islands, Pass C's wire edges, the `couple-redundant` finding and Pass
+//! A's wire rules all read [`WireIndex`](axi_sim::WireIndex) keys. The
+//! reference below keys plain `BTreeMap`s by `(channel label, wire index)`
+//! instead, the way the passes did before the index existed, and a
+//! property test compares the two over random declarations: unknown
+//! channel labels, wire indices past the pool's count (up to
+//! `usize::MAX`), observer-only and opaque components, couples and comb
+//! edges with out-of-range or unknown endpoints.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,61 +107,6 @@ fn ref_comb_pairs(topo: &Topology, model: &SystemModel) -> Vec<(usize, usize)> {
         .iter()
         .filter_map(|(a, b)| Some((resolve(a)?, resolve(b)?)))
         .filter(|(i, j)| i != j)
-        .collect()
-}
-
-/// The batch plan's structural rule, keyed by wire name.
-fn ref_batch_plan(topo: &Topology, model: &SystemModel) -> Vec<bool> {
-    let n = topo.components().len();
-    let by_wire = ref_by_wire(topo);
-    let mut consumers: BTreeMap<Key<'_>, usize> = BTreeMap::new();
-    for c in topo.components() {
-        for p in &c.ports {
-            if p.dir == PortDir::Consume {
-                *consumers.entry((p.channel, p.wire)).or_default() += 1;
-            }
-        }
-    }
-    let point_to_point = |key: Key<'_>| {
-        by_wire.get(&key).is_some_and(|(d, _)| d.len() == 1) && consumers.get(&key) == Some(&1)
-    };
-    let mut flush_source = vec![false; n];
-    for &(s, d) in topo.couples() {
-        if s < n && d < n {
-            flush_source[s] = true;
-        }
-    }
-    for (s, _) in ref_comb_pairs(topo, model) {
-        flush_source[s] = true;
-    }
-    topo.components()
-        .iter()
-        .map(|c| {
-            if c.ports.is_empty() {
-                return false;
-            }
-            if c.ports.iter().all(|p| p.dir == PortDir::Observe) {
-                return true;
-            }
-            if flush_source[c.index] {
-                return false;
-            }
-            let mut per_channel: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-            for p in &c.ports {
-                let (drives, consumes) = per_channel.entry(p.channel).or_default();
-                match p.dir {
-                    PortDir::Drive => *drives += 1,
-                    PortDir::Consume => *consumes += 1,
-                    PortDir::Observe => {}
-                }
-            }
-            if per_channel.values().any(|&(d, s)| d > 1 || s > 1) {
-                return false;
-            }
-            c.ports
-                .iter()
-                .all(|p| p.dir == PortDir::Observe || point_to_point((p.channel, p.wire)))
-        })
         .collect()
 }
 
@@ -324,7 +269,6 @@ proptest! {
             .collect();
         prop_assert_eq!(wire_edges, ref_wire_edges(&topo));
         prop_assert_eq!(&partition.islands, &ref_islands(&topo, true, &comb_pairs));
-        prop_assert_eq!(&partition.batch_allowed, &ref_batch_plan(&topo, &model));
 
         let redundant: Vec<String> = deps
             .by_rule("couple-redundant")

@@ -125,9 +125,8 @@ pub trait Component: Any {
     ///
     /// The arena kernel then gives it no schedule position (so it does not
     /// count toward the 64-position limit), no wire wakes, and no
-    /// per-cycle visit; its [`Component::next_event`],
-    /// [`Component::backlog_event`] and [`Component::batch_horizon`] are
-    /// not consulted. Instead it ticks every tap observer in bulk when the
+    /// per-cycle visit; its [`Component::next_event`] and
+    /// [`Component::backlog_event`] are not consulted. Instead it ticks every tap observer in bulk when the
     /// pool's undrained tap backlog ([`ChannelPool::tap_backlog`]) reaches
     /// a fixed threshold, and before every return from
     /// [`Sim::run`](crate::Sim::run) and
@@ -173,63 +172,6 @@ pub trait Component: Any {
     /// the default is a no-op.
     fn on_fast_forward(&mut self, from: Cycle, to: Cycle) {
         let _ = (from, to);
-    }
-
-    /// How many upcoming cycles (starting at `cycle`) this component can
-    /// cover in one [`Component::batch_tick`] call instead of per-cycle
-    /// ticks.
-    ///
-    /// The arena kernel opens a *batch window* of
-    /// `w` cycles when every due component reports a horizon `>= w` (and
-    /// the window-safety conditions around sleeping peers hold — see
-    /// `DESIGN.md` §8). Within its horizon a component promises:
-    ///
-    /// - **No discrete status transition.** No budget exhaustion, isolation
-    ///   trip, period boundary, burst completion, workload completion, or
-    ///   any other state change that alters *which* actions it takes —
-    ///   only the repetition of the same per-cycle action (typically
-    ///   moving one beat).
-    /// - **Capacity-bounded progress.** A producer's horizon never exceeds
-    ///   the free slots its output wire shows *at window start*; a
-    ///   consumer's or relay's never exceeds the beats already queued and
-    ///   visible. This makes component-major window execution identical to
-    ///   the cycle-major interleaving: nothing a peer does inside the
-    ///   window can enable an action the horizon already counted on.
-    /// - **Declared wires only.** All window activity stays on wires in
-    ///   [`Component::ports`] (the kernel checks that every non-observer
-    ///   peer of those wires participates in the window).
-    ///
-    /// The default of `0` opts out: the component is only ever ticked
-    /// per cycle, and a due component reporting `< 2` vetoes any window
-    /// at that cycle. Horizons are consulted only for components the
-    /// batching plan ([`Sim::set_batch_plan`](crate::Sim::set_batch_plan))
-    /// approves, so conservative implementations may assume their wires
-    /// are uncontended point-to-point paths.
-    fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-        let _ = (cycle, pool);
-        0
-    }
-
-    /// Advances the component by `window` cycles in one call, covering
-    /// cycles `ctx.cycle .. ctx.cycle + window`. Called only when
-    /// [`Component::batch_horizon`] returned `>= window`.
-    ///
-    /// The default replays `window` ordinary ticks with per-cycle
-    /// contexts, which is always exact — override it to claim the actual
-    /// speedup, e.g. by moving `window` queued beats in one
-    /// [`ChannelPool::batch_relay`] ring rotation. Implementations must
-    /// leave the component in exactly the state `window` per-cycle ticks
-    /// would have, including time-proportional counters (the kernel does
-    /// **not** call [`Component::on_fast_forward`] for batched spans — the
-    /// window was executed, not elided).
-    fn batch_tick(&mut self, ctx: &mut TickCtx<'_>, window: u64) {
-        for offset in 0..window {
-            let mut sub = TickCtx {
-                cycle: ctx.cycle + offset,
-                pool: &mut *ctx.pool,
-            };
-            self.tick(&mut sub);
-        }
     }
 
     /// Exports this component's coverage counters into `map` (see

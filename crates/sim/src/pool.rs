@@ -3,10 +3,7 @@
 //! Storage is arena-backed: each of the five AXI channels keeps one
 //! contiguous slot arena plus a table of [`Ring`] descriptors (one per
 //! wire) indexing into it. Allocating a wire extends the arena once at
-//! construction; pushing and popping beats never allocates. The arena
-//! layout is what makes the compiled arena kernel's bulk primitives
-//! ([`ChannelPool::batch_relay`]) a ring-to-ring copy instead of a
-//! per-beat `VecDeque` shuffle.
+//! construction; pushing and popping beats never allocates.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -297,8 +294,6 @@ pub struct ChannelPool {
     wake_events: u64,
     actor_bit: u64,
     actor_later: u64,
-    // Beats moved by `batch_relay`, drained into the kernel stats.
-    batched_beats: u64,
     // Access-sanitizer tables (`None` = sanitizer off, the default; checks
     // cost one `is_some` branch per successful push/pop when off).
     san: Option<SanitizerTables>,
@@ -432,7 +427,7 @@ impl ChannelPool {
     /// The arena kernel ticks every
     /// [tap observer](crate::Component::tap_observer) once this reaches
     /// its bulk-drain threshold, so it stays bounded by that threshold
-    /// plus one executed cycle's (or batch window's) pushes.
+    /// plus one executed cycle's pushes.
     pub fn tap_backlog(&self) -> u64 {
         self.tap_backlog
     }
@@ -480,127 +475,6 @@ impl ChannelPool {
             self.san_check(T::SLOT, T::LABEL, id.index, cycle, false);
         }
         beat
-    }
-
-    /// Moves up to `max` queued beats from `from` to `to` in one ring
-    /// sweep, as if a relay component had popped one beat and pushed it
-    /// onward on each of the cycles `start`, `start + 1`, …
-    ///
-    /// Beat `k` is popped and re-pushed at cycle `start + k`, so every
-    /// stamp, visibility window, one-push/one-pop guard, tap record, and
-    /// stats counter lands exactly where the per-cycle execution would
-    /// have put it. The sweep stops early at the first cycle where the
-    /// per-cycle relay would have stalled (front beat not yet visible, or
-    /// `to` without headroom); callers size `max` from
-    /// [`ChannelPool::relayable`] and [`ChannelPool::headroom`] so that a
-    /// well-formed batch window never stops early. Returns the number of
-    /// beats moved.
-    ///
-    /// This is the arena kernel's bulk-transfer primitive: one call
-    /// replaces `moved` component ticks on an uncontended point-to-point
-    /// path (see the batching plan in `realm-lint`).
-    pub fn batch_relay<T: Channel>(
-        &mut self,
-        from: WireId<T>,
-        to: WireId<T>,
-        start: Cycle,
-        max: u64,
-    ) -> u64 {
-        assert_ne!(from.index, to.index, "batch_relay needs two distinct wires");
-        let moved;
-        {
-            let lane = T::lane_mut(self);
-            let (lo, hi) = if from.index < to.index {
-                (from.index, to.index)
-            } else {
-                (to.index, from.index)
-            };
-            let (left, right) = lane.rings.split_at_mut(hi);
-            let (src, dst) = if from.index < to.index {
-                (&mut left[lo], &mut right[0])
-            } else {
-                (&mut right[0], &mut left[lo])
-            };
-            let mut k = 0u64;
-            let mut tapped = 0u64;
-            while k < max {
-                let cycle = start + k;
-                let Some(slot) = src.front_candidate(cycle) else {
-                    break;
-                };
-                let visible = matches!(&lane.arena[slot], Some((pushed, _)) if *pushed < cycle);
-                if !visible || !dst.can_push(cycle) {
-                    break;
-                }
-                let (_, beat) = lane.arena[slot].take().expect("front slot occupied");
-                src.commit_pop(cycle);
-                let dst_slot = dst.try_push(cycle).expect("headroom checked");
-                lane.arena[dst_slot] = Some((cycle, beat));
-                if let Some(tap) = &mut lane.taps[to.index] {
-                    tap.push((cycle, beat));
-                    tapped += 1;
-                }
-                k += 1;
-            }
-            moved = k;
-            self.tap_backlog += tapped;
-        }
-        if moved > 0 {
-            // One pop and one push per beat: in-flight is net zero, the
-            // lifetime counters advance by the beats moved.
-            self.total_pushed += moved;
-            self.batched_beats += moved;
-            if let Some(wk) = &self.wake {
-                let popped = wk.all[wk.slot_base[T::SLOT] + from.index];
-                let pushed = wk.all[wk.slot_base[T::SLOT] + to.index];
-                self.wake_now |= (popped | pushed) & self.actor_later;
-                self.wake_next |=
-                    (pushed & !self.actor_bit) | (popped & !self.actor_later & !self.actor_bit);
-                self.wake_any = true;
-                self.wake_events += 2 * moved;
-            }
-            if self.san.is_some() {
-                // One check per side: a batch is one declared access
-                // pattern, not `moved` independent ones.
-                self.san_check(T::SLOT, T::LABEL, from.index, start, false);
-                self.san_check(T::SLOT, T::LABEL, to.index, start, true);
-            }
-        }
-        moved
-    }
-
-    /// Longest prefix of beats on `id` a relay starting at `start` could
-    /// move at one beat per cycle: beat `k` counts if it is visible at
-    /// cycle `start + k` (pushed strictly before it). Zero if the wire was
-    /// already popped at `start`.
-    pub fn relayable<T: Channel>(&self, id: WireId<T>, start: Cycle) -> u64 {
-        let lane = T::lane(self);
-        let ring = &lane.rings[id.index];
-        if ring.is_empty() || ring.front_candidate(start).is_none() {
-            return 0;
-        }
-        let mut k = 0u64;
-        while (k as usize) < ring.len() {
-            let slot = ring.nth_slot(k as u32);
-            match &lane.arena[slot] {
-                Some((pushed, _)) if *pushed < start + k => k += 1,
-                _ => break,
-            }
-        }
-        k
-    }
-
-    /// Free slots on `id` available to pushes starting at `start` (zero if
-    /// the wire already accepted a beat at `start`). A producer pushing
-    /// one beat per cycle from `start` on can sustain exactly this many
-    /// beats without feedback from its consumer — the capacity bound on a
-    /// batch window.
-    pub fn headroom<T: Channel>(&self, id: WireId<T>, start: Cycle) -> u64 {
-        let ring = &T::lane(self).rings[id.index];
-        if ring.pushed_at(start) {
-            return 0;
-        }
-        (ring.capacity() - ring.len()) as u64
     }
 
     /// Number of in-flight beats on the wire.
@@ -818,11 +692,6 @@ impl ChannelPool {
         std::mem::take(&mut self.wake_events)
     }
 
-    /// Drains the count of beats moved by [`ChannelPool::batch_relay`].
-    pub(crate) fn take_batched_beats(&mut self) -> u64 {
-        std::mem::take(&mut self.batched_beats)
-    }
-
     /// In-flight beats on the wire addressed by `(slot, index)` — the
     /// untyped twin of [`ChannelPool::len`] for kernel bookkeeping.
     pub(crate) fn slot_len(&self, slot: usize, index: usize) -> usize {
@@ -962,82 +831,5 @@ mod tests {
         assert_ne!(a, c);
         let dbg = format!("{a:?}");
         assert!(dbg.contains("WireId"));
-    }
-
-    #[test]
-    fn batch_relay_matches_per_cycle_relay() {
-        // Drive the same five-beat stream through a relay hop twice: once
-        // beat by beat, once with one batch_relay sweep. Every stamp and
-        // counter must coincide.
-        let mk = |pool: &mut ChannelPool| {
-            let from = pool.new_wire::<WBeat>(8);
-            let to = pool.new_wire::<WBeat>(8);
-            for c in 0..5u64 {
-                pool.push(from, c, WBeat::full(c, c == 4));
-            }
-            (from, to)
-        };
-
-        let mut a = ChannelPool::new();
-        let (a_from, a_to) = mk(&mut a);
-        for c in 5..10u64 {
-            let beat = a.pop(a_from, c).unwrap();
-            a.push(a_to, c, beat);
-        }
-
-        let mut b = ChannelPool::new();
-        let (b_from, b_to) = mk(&mut b);
-        assert_eq!(b.relayable(b_from, 5), 5);
-        assert_eq!(b.headroom(b_to, 5), 8);
-        assert_eq!(b.batch_relay(b_from, b_to, 5, 5), 5);
-
-        assert_eq!(a.stats(a_to), b.stats(b_to));
-        assert_eq!(a.stats(a_from), b.stats(b_from));
-        assert_eq!(a.total_in_flight(), b.total_in_flight());
-        assert_eq!(a.total_pushes(), b.total_pushes());
-        // The moved beats carry the per-cycle stamps: beat k visible from
-        // cycle 5 + k + 1 and not a cycle earlier.
-        for k in 0..5u64 {
-            assert!(b.peek(b_to, 5 + k).is_none() || k > 0);
-        }
-        for c in 10..15u64 {
-            assert_eq!(
-                a.pop(a_to, c).map(|w| w.data),
-                b.pop(b_to, c).map(|w| w.data)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_relay_respects_visibility_and_headroom() {
-        let mut pool = ChannelPool::new();
-        let from = pool.new_wire::<WBeat>(8);
-        let to = pool.new_wire::<WBeat>(2);
-        for c in 0..4u64 {
-            pool.push(from, c, WBeat::full(c, false));
-        }
-        // Beat 0 was pushed at cycle 0: nothing is visible at cycle 0, so
-        // a relay starting there moves nothing.
-        assert_eq!(pool.relayable(from, 0), 0);
-        assert_eq!(pool.batch_relay(from, to, 0, 4), 0);
-        // Destination capacity 2 bounds the sweep.
-        assert_eq!(pool.headroom(to, 4), 2);
-        assert_eq!(pool.batch_relay(from, to, 4, 4), 2);
-        assert_eq!(pool.len(to), 2);
-        assert_eq!(pool.len(from), 2);
-    }
-
-    #[test]
-    fn batch_relay_feeds_tap_with_move_stamps() {
-        let mut pool = ChannelPool::new();
-        let from = pool.new_wire::<WBeat>(8);
-        let to = pool.new_wire::<WBeat>(8);
-        pool.enable_tap(to);
-        for c in 0..3u64 {
-            pool.push(from, c, WBeat::full(10 + c, false));
-        }
-        assert_eq!(pool.batch_relay(from, to, 3, 3), 3);
-        let cycles: Vec<Cycle> = pool.tap(to).iter().map(|(c, _)| *c).collect();
-        assert_eq!(cycles, [3, 4, 5]);
     }
 }

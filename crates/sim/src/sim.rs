@@ -65,16 +65,14 @@ pub struct KernelStats {
     /// holds for a run driven by one kernel throughout.
     pub component_skips: u64,
     /// Successful wire pushes and pops the arena kernel translated into
-    /// wakes (0 under the stepping kernel, which needs none). Beats moved
-    /// by a batched transfer count one push and one pop each, exactly as
-    /// their per-cycle execution would have.
+    /// wakes (0 under the stepping kernel, which needs none).
     pub wire_events: u64,
-    /// Beats moved by batched transfers ([`ChannelPool::batch_relay`])
-    /// instead of per-cycle ticks. Each batched beat is still one beat
-    /// moved — `wire_events` includes them — this counter reports how many
-    /// rode a bulk window.
+    /// Always 0: no kernel batches beats any more. Kept only because the
+    /// benchmark package still sums it; it goes with the next change to
+    /// the benchmark.
     pub batched_beats: u64,
-    /// Batch windows the arena kernel executed (each covering ≥ 2 cycles).
+    /// Always 0, like [`KernelStats::batched_beats`], and kept for the
+    /// same reader.
     pub batch_windows: u64,
 }
 
@@ -94,13 +92,10 @@ pub struct ComponentProfile {
     pub index: usize,
     /// Its [`Component::name`].
     pub name: String,
-    /// `tick`/`batch_tick` calls executed for this component, across both
-    /// kernels. Each bulk drain of a
-    /// [tap observer](Component::tap_observer) counts as one visit.
+    /// `tick` calls executed for this component, across both kernels.
+    /// Each bulk drain of a [tap observer](Component::tap_observer)
+    /// counts as one visit.
     pub visits: u64,
-    /// Cycles covered by batch windows (each window is one visit covering
-    /// `window` cycles; 0 under the stepping kernel).
-    pub batch_cycles: u64,
     /// Wall-clock nanoseconds spent inside this component's ticks. Always 0
     /// unless `axi-sim` is built with the `self-profile` feature — the
     /// clock reads do not exist in a default build, keeping the simulator
@@ -112,7 +107,6 @@ pub struct ComponentProfile {
 #[derive(Clone, Copy, Default)]
 struct ProfileEntry {
     visits: u64,
-    batch_cycles: u64,
     wall_ns: u64,
 }
 
@@ -125,15 +119,10 @@ pub enum KernelMode {
     Step,
     /// Compiled-schedule kernel (the default): components that are not
     /// [tap observers](Component::tap_observer) are pinned to *schedule
-    /// positions* (island-major registration order, at most 64), every
-    /// per-cycle set is a single `u64` mask, and wire activity reaches the
-    /// scheduler through the pool's wake-mask accumulators. On top of the
-    /// mask scheduler it runs beat-batched transfers: when every due
-    /// component can stream ahead ([`Component::batch_horizon`]) and no
-    /// sleeping component wakes inside the window, queued beats move in
-    /// bulk ring copies ([`ChannelPool::batch_relay`]) instead of
-    /// per-cycle virtual ticks. A run whose system needs more than 64
-    /// positions panics at its start.
+    /// positions* (registration order, at most 64), every per-cycle set
+    /// is a single `u64` mask, and wire activity reaches the scheduler
+    /// through the pool's wake-mask accumulators. A run whose system needs
+    /// more than 64 positions panics at its start.
     Arena,
 }
 
@@ -283,7 +272,7 @@ const NEVER: Cycle = Cycle::MAX;
 
 /// The arena kernel's compiled schedule and mask scheduler. Components
 /// other than tap observers are addressed by *schedule position* —
-/// island-major registration order, at most [`MAX_POSITIONS`] — so every
+/// registration order, at most [`MAX_POSITIONS`] — so every
 /// per-cycle set (due now, due next, opaque) is one `u64` and translating
 /// wire activity into wakes is a couple of ORs against the pool's
 /// accumulators.
@@ -299,11 +288,6 @@ struct ArenaSched {
     consume: Vec<Vec<(usize, usize)>>,
     /// Per position: coupled dependents, as schedule positions.
     dependents: Vec<Vec<u32>>,
-    /// Per position: endpoints of every wire the component drives or
-    /// consumes (its own bit included). A batch window requires every such
-    /// peer to be due — batched activity on the shared wire would
-    /// otherwise have to wake a sleeping peer mid-window.
-    peers: Vec<u64>,
     /// Positions due at the cycle being processed.
     due: u64,
     /// Positions due at the immediately following cycle (the fast path
@@ -379,26 +363,14 @@ pub struct Sim {
     san_scratch: Vec<RawSanViolation>,
     /// Compiled schedule + mask scheduler for [`KernelMode::Arena`].
     arena: ArenaSched,
-    /// Per registration index: whether the batching plan allows this
-    /// component to stream through batch windows (see
-    /// [`Sim::set_batch_plan`]). Empty = no plan = no batching.
-    batch_allowed: Vec<bool>,
     /// Self-profiler counters, one entry per component (see
     /// [`Sim::profile`]). Counter maintenance is a single indexed add per
     /// visit; wall-time exists only under the `self-profile` feature.
     profile: Vec<ProfileEntry>,
-    /// Bounded log of executed batch windows `(start, length)` for the
-    /// Perfetto exporter. Armed by `REALM_TRACE` at construction (or
-    /// [`Sim::set_batch_window_log`]); `None` costs nothing per window.
-    batch_window_log: Option<Vec<(Cycle, u64)>>,
     /// Registration indices of the [tap observers](Component::tap_observer),
     /// which the arena kernel drains in bulk instead of ticking per cycle.
     observers: Vec<usize>,
 }
-
-/// Retained batch-window log entries (diagnostic bound, like
-/// [`MAX_VIOLATIONS`] — a trace needs the shape, not every window).
-const MAX_WINDOW_LOG: usize = 4096;
 
 /// Undrained tap records ([`ChannelPool::tap_backlog`]) at which the arena
 /// kernel ticks every [tap observer](Component::tap_observer) in bulk.
@@ -406,8 +378,6 @@ const MAX_WINDOW_LOG: usize = 4096;
 /// small enough that the tap buffers (and the observers' copies of
 /// them) stay within tens of kilobytes and peak memory does not move.
 pub const TAP_DRAIN_RECORDS: u64 = 1024;
-
-use realm_telemetry::trace_from_env;
 
 impl Sim {
     /// Creates an empty simulator at cycle 0. The kernel honours the
@@ -435,9 +405,7 @@ impl Sim {
             san_violations_dropped: 0,
             san_scratch: Vec::new(),
             arena: ArenaSched::default(),
-            batch_allowed: Vec::new(),
             profile: Vec::new(),
-            batch_window_log: trace_from_env().then(Vec::new),
             observers: Vec::new(),
         }
     }
@@ -600,9 +568,8 @@ impl Sim {
     /// Harvests the run's telemetry: every component's
     /// [`Component::telemetry`](crate::Component::telemetry) export, plus
     /// the kernel's own signals — `kernel.*` counters from
-    /// [`KernelStats`], instant events for every retained contract and
-    /// sanitizer violation, and batch-window spans when the window log is
-    /// armed (`REALM_TRACE` / [`Sim::set_batch_window_log`]).
+    /// [`KernelStats`] and instant events for every retained contract and
+    /// sanitizer violation.
     ///
     /// Pull-based and side-effect free, like [`Sim::coverage`]: collecting
     /// telemetry cannot perturb the simulation, so results are
@@ -610,10 +577,10 @@ impl Sim {
     ///
     /// Component counters and histograms are kernel-invariant (component
     /// state is bit-identical across kernels by construction). The
-    /// `kernel.*` counters, violation instants, and batch-window spans
-    /// describe *how* the run was executed and differ across kernels —
-    /// exporters writing kernel-comparable artifacts (`results/*.json`)
-    /// must draw only on the component side.
+    /// `kernel.*` counters and violation instants describe *how* the run
+    /// was executed and differ across kernels — exporters writing
+    /// kernel-comparable artifacts (`results/*.json`) must draw only on
+    /// the component side.
     pub fn telemetry(&self) -> TelemetrySink {
         let mut sink = TelemetrySink::new();
         for component in &self.components {
@@ -626,8 +593,6 @@ impl Sim {
         sink.counter("kernel.component_ticks", s.component_ticks);
         sink.counter("kernel.component_skips", s.component_skips);
         sink.counter("kernel.wire_events", s.wire_events);
-        sink.counter("kernel.batched_beats", s.batched_beats);
-        sink.counter("kernel.batch_windows", s.batch_windows);
         sink.counter(
             "kernel.contract_violations",
             self.violations.len() as u64 + self.violations_dropped,
@@ -659,27 +624,14 @@ impl Sim {
             };
             sink.instant("kernel", &format!("sanitizer:{kind}:{}", v.name), v.cycle);
         }
-        if let Some(log) = &self.batch_window_log {
-            for &(start, window) in log {
-                sink.span("kernel", "batch-window", start, start + window);
-            }
-        }
         sink
     }
 
-    /// Arms or disarms the batch-window log feeding
-    /// [`Sim::telemetry`]'s `batch-window` spans (the default comes from
-    /// `REALM_TRACE`). Purely observational — the log never influences
-    /// window formation — and bounded, so leaving it armed is safe.
-    pub fn set_batch_window_log(&mut self, on: bool) {
-        self.batch_window_log = on.then(Vec::new);
-    }
-
-    /// The kernel self-profiler's per-component attribution: visits
-    /// (tick/batch_tick calls), batch-covered cycles, and — only when built
-    /// with the `self-profile` feature — wall-time.
+    /// The kernel self-profiler's per-component attribution: visits (tick
+    /// calls) and — only when built with the `self-profile` feature —
+    /// wall-time.
     ///
-    /// Visit/batch counters are always maintained (one indexed add on
+    /// Visit counters are always maintained (one indexed add on
     /// the paths that already do bookkeeping); the clock reads attributing
     /// wall-time are compiled out without the feature, so a default build
     /// contains no wall-clock reads at all. Profiles are *kernel-dependent*
@@ -694,7 +646,6 @@ impl Sim {
                 index: i,
                 name: component.name().to_owned(),
                 visits: self.profile[i].visits,
-                batch_cycles: self.profile[i].batch_cycles,
                 wall_ns: self.profile[i].wall_ns,
             })
             .collect()
@@ -886,7 +837,7 @@ impl Sim {
     }
 
     /// The shared driver behind [`Sim::run`]/[`Sim::run_until`]: stepping,
-    /// or the arena kernel's mask scheduler plus batch windows.
+    /// or the arena kernel's mask scheduler.
     fn drive<F: FnMut(&Sim) -> bool>(
         &mut self,
         max_cycles: u64,
@@ -934,16 +885,6 @@ impl Sim {
                 self.merge_far_wakes();
             }
             if self.arena.due != 0 {
-                // Windows only in predicate-free runs: `run_until` checks
-                // its predicate before every processed cycle, and a window
-                // advancing several cycles at once could overshoot the
-                // exact stop cycle a stepped run would report.
-                if done.is_none() && !self.batch_allowed.is_empty() {
-                    if let Some(window) = self.batch_window(target, clamp) {
-                        self.run_batch_window(window);
-                        continue;
-                    }
-                }
                 self.process_cycle();
                 continue;
             }
@@ -1010,7 +951,9 @@ impl Sim {
         let _ = self.pool.take_wake_events();
     }
 
-    /// Compiles the island-major schedule and the per-wire wake masks.
+    /// Compiles the schedule and the per-wire wake masks. Every component
+    /// but the tap observers takes a position, in registration order; tap
+    /// observers are drained in bulk, never due.
     ///
     /// # Panics
     ///
@@ -1023,27 +966,14 @@ impl Sim {
             "arena kernel: {positions} schedule positions exceed the limit of \
              {MAX_POSITIONS} (every component but a tap observer takes one)"
         );
-        // Island-major order: each island's members in registration order.
-        // Islands share no wire or couple, so the reordering is
-        // unobservable. Tap observers take no position: they are drained
-        // in bulk, never due.
         let mut is_observer = vec![false; n];
         for &i in &self.observers {
             is_observer[i] = true;
         }
-        let order: Vec<u32> = self
-            .topology()
-            .islands()
-            .into_iter()
-            .flatten()
+        let order: Vec<u32> = (0..n)
             .filter(|&i| !is_observer[i])
             .map(|i| i as u32)
             .collect();
-        debug_assert_eq!(
-            order.len(),
-            positions,
-            "partition must cover every component"
-        );
         let mut pos_of = vec![0u32; n];
         for (pos, &i) in order.iter().enumerate() {
             pos_of[i as usize] = pos as u32;
@@ -1057,10 +987,8 @@ impl Sim {
             total_wires += wires;
         }
         let mut all = vec![0u64; total_wires];
-        let mut active = vec![0u64; total_wires]; // drive/consume endpoints
         let mut opaque_mask = 0u64;
         let mut consume = vec![Vec::new(); positions];
-        let mut touched = vec![Vec::new(); positions]; // non-observe flats per position
         for (pos, &i) in order.iter().enumerate() {
             let bit = 1u64 << pos;
             let ports = self.components[i as usize].ports();
@@ -1077,27 +1005,12 @@ impl Sim {
                 }
                 let flat = slot_base[slot] + port.wire;
                 all[flat] |= bit;
-                match port.dir {
-                    PortDir::Drive => {
-                        active[flat] |= bit;
-                        touched[pos].push(flat);
-                    }
-                    PortDir::Consume => {
-                        active[flat] |= bit;
-                        touched[pos].push(flat);
-                        let key = (slot, port.wire);
-                        if !consume[pos].contains(&key) {
-                            consume[pos].push(key);
-                        }
-                    }
-                    PortDir::Observe => {}
+                let key = (slot, port.wire);
+                if port.dir == PortDir::Consume && !consume[pos].contains(&key) {
+                    consume[pos].push(key);
                 }
             }
         }
-        let peers: Vec<u64> = touched
-            .iter()
-            .map(|flats| flats.iter().fold(0u64, |acc, &f| acc | active[f]))
-            .collect();
         let mut dependents = vec![Vec::new(); positions];
         for &(source, dependent) in &self.couples {
             // A tap observer is never coupled (its contract); skip rather
@@ -1114,7 +1027,6 @@ impl Sim {
         self.arena.opaque_mask = opaque_mask;
         self.arena.consume = consume;
         self.arena.dependents = dependents;
-        self.arena.peers = peers;
         self.arena.wake_at = vec![NEVER; positions];
         self.arena.wake_min = NEVER;
         self.pool
@@ -1341,141 +1253,6 @@ impl Sim {
         self.stats.component_skips += n as u64 - ticked;
         self.arena.due = std::mem::take(&mut self.arena.due_next);
     }
-
-    /// Installs the batching plan: `allowed[i]` says whether the component
-    /// registered at index `i` may stream through batch windows (see
-    /// [`Component::batch_horizon`]). The plan comes from static analysis —
-    /// `realm-lint` marks a component batchable only when every wire it
-    /// drives or consumes is an uncontended point-to-point path — so the
-    /// kernel never has to second-guess a horizon's wire footprint. An
-    /// empty plan (the default) disables batching entirely.
-    pub fn set_batch_plan(&mut self, allowed: Vec<bool>) {
-        self.batch_allowed = allowed;
-    }
-
-    /// The installed batching plan (empty = batching off).
-    pub fn batch_plan(&self) -> &[bool] {
-        &self.batch_allowed
-    }
-
-    /// Decides whether a batch window can start at the current cycle and
-    /// how long it may run. `Some(w)` (with `w >= 2`) requires:
-    ///
-    /// - every due component is plan-approved and reports a batch horizon
-    ///   covering `w` cycles;
-    /// - every non-observer peer on any wire a due component touches is
-    ///   itself due (a sleeping drive/consume peer would be woken mid-
-    ///   window by the batched activity — per-cycle execution must handle
-    ///   that, so the window is refused);
-    /// - every opaque component is due (any event wakes them);
-    /// - no due component has coupled dependents (shared-state writes are
-    ///   per-cycle by definition);
-    /// - no sleeping component's far wake, the run target, or the clamp
-    ///   boundary lands inside the window.
-    fn batch_window(&mut self, target: Cycle, clamp: Option<Cycle>) -> Option<u64> {
-        let cycle = self.cycle;
-        let due = self.arena.due;
-        // Pending next-cycle dues (the all-due second look after a run
-        // start with beats in flight) must be honoured per cycle — a
-        // window would jump straight past them.
-        if self.arena.due_next != 0 {
-            return None;
-        }
-        if self.arena.opaque_mask & !due != 0 {
-            return None;
-        }
-        let mut bound = self.arena.wake_min.min(target);
-        if let Some(boundary) = clamp {
-            if boundary > cycle {
-                bound = bound.min(boundary);
-            }
-        }
-        if bound < cycle + 2 {
-            return None;
-        }
-        let mut window = bound - cycle;
-        let mut m = due;
-        while m != 0 {
-            let pos = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let i = self.arena.order[pos] as usize;
-            if !self.batch_allowed.get(i).copied().unwrap_or(false)
-                || !self.arena.dependents[pos].is_empty()
-                || self.arena.peers[pos] & !due != 0
-            {
-                return None;
-            }
-            let horizon = self.components[i].batch_horizon(cycle, &self.pool);
-            if horizon < 2 {
-                return None;
-            }
-            window = window.min(horizon);
-            if window < 2 {
-                return None;
-            }
-        }
-        Some(window)
-    }
-
-    /// Executes one batch window of `window` cycles: every due component's
-    /// [`Component::batch_tick`] covers the whole span, component-major.
-    /// Horizons are capacity-bounded (a producer never outruns the free
-    /// slots it saw at window start, a consumer never outruns the beats
-    /// already queued), so component-major execution is beat-for-beat
-    /// identical to the cycle-major interleaving.
-    fn run_batch_window(&mut self, window: u64) {
-        let cycle = self.cycle;
-        let n = self.components.len() as u64;
-        let due = std::mem::take(&mut self.arena.due);
-        let mut m = due;
-        let mut ticked: u64 = 0;
-        while m != 0 {
-            let pos = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let i = self.arena.order[pos] as usize;
-            self.flush_component(i, cycle);
-            self.synced_to[i] = cycle + window;
-            self.arena.wake_at[pos] = NEVER;
-            self.pool.set_owner(Some(i));
-            self.pool.begin_actor(pos as u32);
-            let mut ctx = TickCtx {
-                cycle,
-                pool: &mut self.pool,
-            };
-            self.profile[i].visits += 1;
-            self.profile[i].batch_cycles += window;
-            #[cfg(feature = "self-profile")]
-            let t0 = std::time::Instant::now(); // lint:allow(wall-clock) -- self-profiler, feature-gated
-            self.components[i].batch_tick(&mut ctx, window);
-            #[cfg(feature = "self-profile")]
-            {
-                self.profile[i].wall_ns += t0.elapsed().as_nanos() as u64;
-            }
-            ticked += 1;
-        }
-        self.pool.set_owner(None);
-        // Post-window wakes are conservative: every participant plus every
-        // position the window's wire activity touched is due at the first
-        // cycle after the window. Extra ticks mirror the stepping kernel.
-        let (now, next, any) = self.pool.take_wakes();
-        self.arena.due = due | now | next;
-        if any {
-            self.arena.due |= self.arena.opaque_mask;
-        }
-        self.stats.wire_events += self.pool.take_wake_events();
-        self.stats.batched_beats += self.pool.take_batched_beats();
-        self.stats.batch_windows += 1;
-        if let Some(log) = &mut self.batch_window_log {
-            if log.len() < MAX_WINDOW_LOG {
-                log.push((cycle, window));
-            }
-        }
-        self.drain_sanitizer();
-        self.cycle = cycle + window;
-        self.stats.ticks_executed += window;
-        self.stats.component_ticks += ticked * window;
-        self.stats.component_skips += (n - ticked) * window;
-    }
 }
 
 impl Default for Sim {
@@ -1595,6 +1372,23 @@ mod tests {
         assert!(sim.cycle() < 100);
         // Predicate that never fires.
         assert!(!sim.run_until(5, |_| false));
+    }
+
+    /// `run_until` stops at exactly the cycle a stepped run stops at.
+    #[test]
+    fn run_until_stop_cycle_matches_stepping() {
+        let observe = |mode: KernelMode| {
+            let (mut sim, _p, c) = build();
+            sim.set_kernel_mode(mode);
+            let fired = sim.run_until(200, |s| {
+                s.component::<Consumer>(c)
+                    .is_some_and(|x| x.received.len() >= 3)
+            });
+            (fired, sim.cycle())
+        };
+        let arena = observe(KernelMode::Arena);
+        assert!(arena.0);
+        assert_eq!(arena, observe(KernelMode::Step));
     }
 
     #[test]
@@ -1999,12 +1793,11 @@ mod tests {
         assert_eq!(sim.partition(), vec![vec![0, 1], vec![2, 3]]);
     }
 
-    /// The arena kernel's island-major schedule is unobservable: results
-    /// are bit-identical to flat stepping, including when registration
-    /// order interleaves the islands (so the schedule really does reorder
-    /// ticks across island boundaries).
+    /// Two independent islands match flat stepping under the arena kernel,
+    /// both when each island's members are registered together and when
+    /// registration order interleaves the islands.
     #[test]
-    fn island_major_schedule_matches_stepping() {
+    fn interleaved_islands_match_stepping() {
         let observe = |mode: KernelMode| {
             let (mut sim, ca, cb) = build_pairs();
             sim.set_kernel_mode(mode);
@@ -2017,8 +1810,7 @@ mod tests {
         };
         assert_eq!(observe(KernelMode::Arena), observe(KernelMode::Step));
 
-        // Interleaved registration: islands {0,2} and {1,3}, so the arena
-        // schedule ticks 0,2 then 1,3 — a genuine reorder vs. stepping.
+        // Interleaved registration: islands {0,2} and {1,3}.
         let observe_interleaved = |mode: KernelMode| {
             let mut sim = Sim::new();
             let wa = sim.pool_mut().new_wire::<WBeat>(2);
@@ -2348,283 +2140,5 @@ mod tests {
             "undeclared wake must be flagged: {:?}",
             sim.sanitizer_violations()
         );
-    }
-
-    // --- Batch windows (beat-batched transfers, `DESIGN.md` §8) ---------
-    //
-    // A three-stage pipeline with honest capacity-bounded horizons:
-    //
-    //   BatchProducer → w1 → BatchRelay → w2 → BatchConsumer
-    //
-    // The relay and consumer hold off until `start_at`, letting the
-    // producer build queue depth; once everyone runs, the occupancies are
-    // steady (one push + one pop per wire per cycle), so windows form
-    // repeatedly. Every horizon is bounded by `relayable`/`headroom` at
-    // window start, which is exactly what makes component-major window
-    // execution equal to the cycle-major interleaving.
-
-    struct BatchProducer {
-        out: WireId<WBeat>,
-        sent: u64,
-        limit: u64,
-    }
-    impl Component for BatchProducer {
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if self.sent < self.limit && ctx.pool.can_push(self.out, ctx.cycle) {
-                ctx.pool
-                    .push(self.out, ctx.cycle, WBeat::full(self.sent, false));
-                self.sent += 1;
-            }
-        }
-        fn name(&self) -> &str {
-            "bproducer"
-        }
-        fn ports(&self) -> Vec<PortDecl> {
-            vec![PortDecl::new("W", self.out.index(), PortDir::Drive)]
-        }
-        fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-            // One push per cycle: bounded by the output headroom at window
-            // start and by the beats left before the completion transition.
-            pool.headroom(self.out, cycle).min(self.limit - self.sent)
-        }
-        // Default `batch_tick` (per-cycle replay) — the window still
-        // collapses the *relay's* beats into one ring sweep.
-    }
-
-    struct BatchRelay {
-        input: WireId<WBeat>,
-        out: WireId<WBeat>,
-        start_at: Cycle,
-    }
-    impl Component for BatchRelay {
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if ctx.cycle < self.start_at {
-                return;
-            }
-            if ctx.pool.can_push(self.out, ctx.cycle) {
-                if let Some(beat) = ctx.pool.pop(self.input, ctx.cycle) {
-                    ctx.pool.push(self.out, ctx.cycle, beat);
-                }
-            }
-        }
-        fn name(&self) -> &str {
-            "brelay"
-        }
-        fn ports(&self) -> Vec<PortDecl> {
-            vec![
-                PortDecl::new("W", self.input.index(), PortDir::Consume),
-                PortDecl::new("W", self.out.index(), PortDir::Drive),
-            ]
-        }
-        fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-            if cycle < self.start_at {
-                return 0; // the start transition must land on a tick
-            }
-            pool.relayable(self.input, cycle)
-                .min(pool.headroom(self.out, cycle))
-        }
-        fn batch_tick(&mut self, ctx: &mut TickCtx<'_>, window: u64) {
-            debug_assert!(ctx.cycle >= self.start_at);
-            let moved = ctx
-                .pool
-                .batch_relay(self.input, self.out, ctx.cycle, window);
-            debug_assert_eq!(moved, window, "horizon sized the window");
-        }
-    }
-
-    struct BatchConsumer {
-        input: WireId<WBeat>,
-        start_at: Cycle,
-        received: Vec<u64>,
-    }
-    impl Component for BatchConsumer {
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-            if ctx.cycle < self.start_at {
-                return;
-            }
-            if let Some(beat) = ctx.pool.pop(self.input, ctx.cycle) {
-                self.received.push(beat.data);
-            }
-        }
-        fn name(&self) -> &str {
-            "bconsumer"
-        }
-        fn ports(&self) -> Vec<PortDecl> {
-            vec![PortDecl::new("W", self.input.index(), PortDir::Consume)]
-        }
-        fn batch_horizon(&self, cycle: Cycle, pool: &ChannelPool) -> u64 {
-            if cycle < self.start_at {
-                return 0;
-            }
-            pool.relayable(self.input, cycle)
-        }
-    }
-
-    /// Builds the pipeline; `plan` installs the all-approved batching plan.
-    fn build_batch_pipeline(plan: bool, limit: u64) -> (Sim, ComponentId) {
-        let mut sim = Sim::new();
-        let w1 = sim.pool_mut().new_wire::<WBeat>(8);
-        let w2 = sim.pool_mut().new_wire::<WBeat>(8);
-        sim.add(BatchProducer {
-            out: w1,
-            sent: 0,
-            limit,
-        });
-        sim.add(BatchRelay {
-            input: w1,
-            out: w2,
-            start_at: 4,
-        });
-        let c = sim.add(BatchConsumer {
-            input: w2,
-            start_at: 6,
-            received: Vec::new(),
-        });
-        if plan {
-            sim.set_batch_plan(vec![true; 3]);
-        }
-        (sim, c)
-    }
-
-    /// Windows form on the steady backlogged pipeline, move beats through
-    /// `batch_relay`, and the result is bit-identical to flat stepping.
-    #[test]
-    fn batch_windows_form_and_match_stepping() {
-        let run = |mode: KernelMode, plan: bool| {
-            let (mut sim, c) = build_batch_pipeline(plan, 40);
-            sim.set_kernel_mode(mode);
-            sim.run(80);
-            let stats = sim.kernel_stats();
-            let received = sim.component::<BatchConsumer>(c).unwrap().received.clone();
-            (sim.cycle(), received, stats)
-        };
-        let (cycle_a, recv_a, stats_a) = run(KernelMode::Arena, true);
-        let (cycle_s, recv_s, stats_s) = run(KernelMode::Step, true);
-        assert_eq!(cycle_a, cycle_s);
-        assert_eq!(recv_a, (0..40).collect::<Vec<_>>());
-        assert_eq!(recv_a, recv_s);
-        assert!(
-            stats_a.batch_windows > 0,
-            "steady backlog must open windows: {stats_a:?}"
-        );
-        assert!(
-            stats_a.batched_beats > 0,
-            "the relay's sweeps must be accounted: {stats_a:?}"
-        );
-        // Batched beats ride in windows; both count toward neither kernel's
-        // observable results.
-        assert_eq!(stats_s.batch_windows, 0);
-        assert_eq!(stats_s.batched_beats, 0);
-        // Every cycle is accounted exactly once in the arena run too.
-        assert_eq!(stats_a.ticks_executed + stats_a.cycles_skipped, 80);
-    }
-
-    /// Without a plan the arena kernel never consults horizons: same
-    /// results, zero windows.
-    #[test]
-    fn no_plan_means_no_windows() {
-        let (mut sim, c) = build_batch_pipeline(false, 40);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert_eq!(sim.kernel_stats().batch_windows, 0);
-        assert_eq!(sim.kernel_stats().batched_beats, 0);
-        assert_eq!(
-            sim.component::<BatchConsumer>(c).unwrap().received,
-            (0..40).collect::<Vec<_>>()
-        );
-    }
-
-    /// A contended steady stream (occupancy one) yields horizons below
-    /// two: the window degenerates to zero-length and batching never
-    /// engages — the plan alone is not enough.
-    #[test]
-    fn zero_length_window_on_contended_path() {
-        let mut sim = Sim::new();
-        let w1 = sim.pool_mut().new_wire::<WBeat>(8);
-        let w2 = sim.pool_mut().new_wire::<WBeat>(8);
-        sim.add(BatchProducer {
-            out: w1,
-            sent: 0,
-            limit: 40,
-        });
-        // No hold-off: the relay and consumer drain from cycle zero, so
-        // every wire's occupancy stays at one beat and `relayable` never
-        // reaches the two-cycle minimum.
-        sim.add(BatchRelay {
-            input: w1,
-            out: w2,
-            start_at: 0,
-        });
-        let c = sim.add(BatchConsumer {
-            input: w2,
-            start_at: 0,
-            received: Vec::new(),
-        });
-        sim.set_batch_plan(vec![true; 3]);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert_eq!(
-            sim.kernel_stats().batch_windows,
-            0,
-            "occupancy-one streaming must not batch: {:?}",
-            sim.kernel_stats()
-        );
-        assert_eq!(
-            sim.component::<BatchConsumer>(c).unwrap().received,
-            (0..40).collect::<Vec<_>>()
-        );
-    }
-
-    /// A due component outside the plan vetoes the window even when every
-    /// other participant could batch.
-    #[test]
-    fn unapproved_due_component_vetoes_window() {
-        let (mut sim, c) = build_batch_pipeline(true, 40);
-        // Overwrite the plan: the relay is no longer approved.
-        sim.set_batch_plan(vec![true, false, true]);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert_eq!(sim.kernel_stats().batch_windows, 0);
-        assert_eq!(
-            sim.component::<BatchConsumer>(c).unwrap().received,
-            (0..40).collect::<Vec<_>>()
-        );
-    }
-
-    /// The sanitizer stays armed through batch windows: the relay's ring
-    /// sweeps land on declared wires and report nothing.
-    #[test]
-    fn batch_windows_are_sanitizer_clean() {
-        let (mut sim, _c) = build_batch_pipeline(true, 40);
-        sim.set_sanitize(true);
-        sim.set_kernel_mode(KernelMode::Arena);
-        sim.run(80);
-        assert!(sim.kernel_stats().batch_windows > 0);
-        assert!(
-            sim.sanitizer_violations().is_empty(),
-            "batched relays are declared traffic: {:?}",
-            sim.sanitizer_violations()
-        );
-    }
-
-    /// Predicate-driven runs disable windows entirely: `run_until` checks
-    /// its predicate before every processed cycle, and a window advancing
-    /// several cycles at once could overshoot the exact stop cycle a
-    /// stepped run reports. Stop cycles must stay bit-identical.
-    #[test]
-    fn run_until_disables_windows_for_exact_stop_cycles() {
-        let observe = |mode: KernelMode| {
-            let (mut sim, c) = build_batch_pipeline(true, 40);
-            sim.set_kernel_mode(mode);
-            let fired = sim.run_until(200, |s| {
-                s.component::<BatchConsumer>(c)
-                    .is_some_and(|x| x.received.len() >= 17)
-            });
-            (fired, sim.cycle(), sim.kernel_stats().batch_windows)
-        };
-        let (fired_a, cycle_a, windows_a) = observe(KernelMode::Arena);
-        let (fired_s, cycle_s, _) = observe(KernelMode::Step);
-        assert_eq!((fired_a, cycle_a), (fired_s, cycle_s));
-        assert_eq!(windows_a, 0, "predicate runs must not batch");
     }
 }

@@ -124,11 +124,6 @@ pub struct WireEnd {
 pub struct WireIndex {
     /// The declared pairs in key order.
     pairs: Vec<(&'static str, usize)>,
-    /// Per key, the ordinal of its channel label among the distinct
-    /// labels (in label order).
-    channel_of: Vec<usize>,
-    /// Number of distinct channel labels.
-    channels: usize,
     /// Component `c`'s port keys are `port_keys[port_start[c]..port_start[c + 1]]`,
     /// parallel to its declared ports.
     port_start: Vec<usize>,
@@ -181,14 +176,12 @@ impl WireIndex {
         sorted.sort_unstable();
         // One sweep assigns the keys and lays out each key's endpoints.
         let mut pairs = Vec::with_capacity(total);
-        let mut channel_of = Vec::with_capacity(total);
         let mut port_keys = vec![0; total];
         let mut end_start = Vec::with_capacity(total + 1);
         let mut ends = Vec::with_capacity(total);
         for (i, &(rank, wire, port)) in sorted.iter().enumerate() {
             if i == 0 || (sorted[i - 1].0, sorted[i - 1].1) != (rank, wire) {
                 pairs.push((labels[by_rank[rank]], wire));
-                channel_of.push(rank);
                 end_start.push(i);
             }
             port_keys[port] = pairs.len() - 1;
@@ -197,8 +190,6 @@ impl WireIndex {
         end_start.push(total);
         Self {
             pairs,
-            channel_of,
-            channels: labels.len(),
             port_start,
             port_keys,
             end_start,
@@ -225,17 +216,6 @@ impl WireIndex {
     /// component declares it.
     pub fn key(&self, channel: &str, wire: usize) -> Option<usize> {
         self.pairs.binary_search(&(channel, wire)).ok()
-    }
-
-    /// Number of distinct channel labels among the declared pairs.
-    pub fn channel_count(&self) -> usize {
-        self.channels
-    }
-
-    /// Ordinal of `key`'s channel label among the distinct labels, in
-    /// `0..channel_count()`; keys of one label share it.
-    pub fn channel_of(&self, key: usize) -> usize {
-        self.channel_of[key]
     }
 
     /// The keys of component `component`'s declared ports, parallel to
@@ -524,7 +504,6 @@ mod tests {
         assert_eq!(pairs, [("AW", usize::MAX), ("W", 1), ("XY", 0)]);
         assert_eq!(index.key("W", 1), Some(1));
         assert_eq!(index.key("W", 0), None);
-        assert_eq!(index.channel_count(), 3);
         assert_eq!(index.port_keys(0), [1, 0, 1]);
         assert!(index.port_keys(1).is_empty());
         assert_eq!(index.port_keys(2), [2, 1]);

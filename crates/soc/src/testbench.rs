@@ -345,7 +345,7 @@ impl Testbench {
             scoreboard = scoreboard.boundary(&mgr_refs, &["llc", "spm", "cfgreg"]);
         }
 
-        let mut tb = Self {
+        let tb = Self {
             sim,
             core,
             dma,
@@ -366,23 +366,9 @@ impl Testbench {
         // Feasibility findings are warnings (the paper's own Fig. 6b
         // configuration over-subscribes the LLC); only structural errors
         // abort construction.
-        //
-        // Beat-batching plan from the static dependence analysis (Pass C):
-        // which components sit on uncontended point-to-point paths. Fed
-        // unconditionally — it is structural permission only, consulted by
-        // the arena kernel before opening a batch window and ignored by
-        // every other kernel, so results stay bit-identical either way.
-        // The analysis computes the partition anyway, so Pass C runs once.
-        let topology = tb.sim.topology();
-        let model = tb.lint_model();
-        let partition = if realm_lint::enabled_by_env() {
-            let (report, partition) = realm_lint::analyze_with_partition(&topology, &model);
-            realm_lint::apply("testbench", &report);
-            partition
-        } else {
-            realm_lint::analyze_deps(&topology, &model).0
-        };
-        tb.sim.set_batch_plan(partition.batch_allowed);
+        if realm_lint::enabled_by_env() {
+            realm_lint::apply("testbench", &tb.lint_report());
+        }
         tb
     }
 

@@ -12,8 +12,8 @@ use axi_conformance::ProtocolMonitor;
 use axi_mem::{MemoryConfig, MemoryModel};
 use axi_realm::{DesignConfig, RealmUnit, RegionConfig, RuntimeConfig};
 use axi_sim::{
-    AxiBundle, BundleCapacity, ChannelPool, Component, ComponentId, KernelMode, PortDecl, PortDir,
-    Sim, TickCtx, TraceProbe,
+    AxiBundle, BundleCapacity, Component, ComponentId, KernelMode, PortDecl, PortDir, Sim, TickCtx,
+    TraceProbe,
 };
 use axi_traffic::{FuzzSpec, Op, ScriptedManager};
 use axi_xbar::{AddressMap, Crossbar};
@@ -259,15 +259,6 @@ fn build_contended_rig(
     }
 }
 
-/// Installs the beat-batching plan on a hand-built rig exactly the way the
-/// production SoC testbench does: Pass C of the static dependence analysis
-/// decides which components may ever take part in a batch window, the
-/// per-cycle horizons do all behavioral gating at run time.
-fn install_batch_plan(sim: &mut Sim) {
-    let (partition, _) = realm_lint::analyze_deps(&sim.topology(), &realm_lint::SystemModel::new());
-    sim.set_batch_plan(partition.batch_allowed);
-}
-
 /// Everything observable about a finished contended rig, in comparable form.
 fn observe_contended(rig: &ContendedRig) -> Vec<String> {
     let mut out = vec![format!("cycle={}", rig.sim.cycle())];
@@ -302,9 +293,8 @@ proptest! {
 
     /// Contended fuzz traffic — two managers, crossbar arbitration, active
     /// regulation with depletion windows — is bit-identical between the
-    /// arena kernel (with and without the production batch plan) and
-    /// explicit stepping, with clean monitors and no contract violations
-    /// on either side.
+    /// arena kernel and explicit stepping, with clean monitors and no
+    /// contract violations on either side.
     #[test]
     fn contended_run_equals_stepping(
         seed_a in 0u64..1_000,
@@ -319,26 +309,20 @@ proptest! {
 
         let mut fast = build_contended_rig(scripts(), frag_len, budget, period);
         let mut slow = build_contended_rig(scripts(), frag_len, budget, period);
-        let mut arena = build_contended_rig(scripts(), frag_len, budget, period);
 
         fast.sim.set_kernel_mode(KernelMode::Arena);
         fast.sim.run(cycles);
         for _ in 0..cycles {
             slow.sim.step();
         }
-        arena.sim.set_kernel_mode(KernelMode::Arena);
-        install_batch_plan(&mut arena.sim);
-        arena.sim.run(cycles);
 
         let a = observe_contended(&fast);
         let b = observe_contended(&slow);
         prop_assert_eq!(&a, &b, "arena kernel diverged from stepping");
-        let d = observe_contended(&arena);
-        prop_assert_eq!(&a, &d, "batch plan changed the arena kernel's result");
 
         // Monitors must be clean in absolute terms, not merely identical —
         // otherwise "both kernels see the same violation" would pass.
-        for rig in [&fast, &slow, &arena] {
+        for rig in [&fast, &slow] {
             for &id in &rig.monitors {
                 let mon = rig.sim.component::<ProtocolMonitor>(id).expect("monitor");
                 prop_assert!(mon.is_clean(), "{}: {:?}", mon.name(), mon.violations());
@@ -350,10 +334,8 @@ proptest! {
         // accounted for exactly once.
         prop_assert_eq!(format!("{:?}", fast.sim.contract_violations()), "[]");
         prop_assert_eq!(format!("{:?}", slow.sim.contract_violations()), "[]");
-        prop_assert_eq!(format!("{:?}", arena.sim.contract_violations()), "[]");
         prop_assert_eq!(fast.sim.kernel_stats().cycles_total(), cycles);
         prop_assert_eq!(slow.sim.kernel_stats().cycles_total(), cycles);
-        prop_assert_eq!(arena.sim.kernel_stats().cycles_total(), cycles);
     }
 }
 
@@ -406,14 +388,11 @@ fn contended_depletion_windows_match_stepping() {
     );
 }
 
-/// Batching edge case 1 — isolation trip mid-window: a regulated unit that
-/// trips isolation repeatedly must never be spanned by a batch window. An
-/// enabled unit pins its batch horizon at zero (budget decisions are
-/// per-cycle discrete transitions), so with the production plan installed
-/// the arena kernel must fall back to per-cycle execution throughout and
-/// stay bit-identical to stepping.
+/// A regulated unit that trips isolation repeatedly: every trip and every
+/// period replenishment lands on the same cycle under the arena kernel as
+/// under stepping.
 #[test]
-fn isolation_trips_veto_batch_windows_and_match_stepping() {
+fn isolation_trips_match_stepping() {
     let spec = FuzzSpec::new(MEM_BASE, MEM_SIZE)
         .with_ops(24)
         .with_max_beats(16);
@@ -423,7 +402,6 @@ fn isolation_trips_veto_batch_windows_and_match_stepping() {
     // 256 bytes per 600-cycle period: isolation recurs all run long.
     let mut arena = build_rig(script(), 4, 256, 600);
     arena.sim.set_kernel_mode(KernelMode::Arena);
-    install_batch_plan(&mut arena.sim);
     let mut slow = build_rig(script(), 4, 256, 600);
 
     arena.sim.run(CYCLES);
@@ -439,22 +417,17 @@ fn isolation_trips_veto_batch_windows_and_match_stepping() {
         .expect("realm");
     assert!(
         realm.stats().isolated_cycles > 0,
-        "isolation never tripped: the veto claim is vacuous"
+        "isolation never tripped: the scenario is vacuous"
     );
-    let ks = arena.sim.kernel_stats();
-    assert_eq!(ks.batch_windows, 0, "a window spanned an isolation trip");
-    assert_eq!(ks.batched_beats, 0);
-    assert_eq!(ks.cycles_total(), CYCLES);
+    assert_eq!(arena.sim.kernel_stats().cycles_total(), CYCLES);
 }
 
-/// Batching edge case 2 — budget exhaustion inside a would-be batch: the
-/// budget runs dry once and stays dry (period longer than the remaining
-/// run), parking beats on the upstream wires for thousands of cycles.
-/// Exactly the stretch a naive batcher would love to jump — and exactly
-/// where it must not, because replenishment/isolation accounting advances
-/// per cycle. Windows stay closed; the outcome matches stepping.
+/// Budget exhaustion that lasts: the budget runs dry once and stays dry
+/// (period longer than the remaining run), parking beats on the upstream
+/// wires for thousands of cycles while the isolated-cycle count advances
+/// every cycle. The outcome matches stepping.
 #[test]
-fn budget_exhaustion_stays_per_cycle_under_a_batch_plan() {
+fn budget_exhaustion_matches_stepping() {
     let spec = FuzzSpec::new(MEM_BASE, MEM_SIZE)
         .with_ops(16)
         .with_max_beats(16);
@@ -465,7 +438,6 @@ fn budget_exhaustion_stays_per_cycle_under_a_batch_plan() {
     // within the run.
     let mut arena = build_rig(script(), 1, 64, 6_000);
     arena.sim.set_kernel_mode(KernelMode::Arena);
-    install_batch_plan(&mut arena.sim);
     let mut slow = build_rig(script(), 1, 64, 6_000);
 
     arena.sim.run(CYCLES);
@@ -480,25 +452,16 @@ fn budget_exhaustion_stays_per_cycle_under_a_batch_plan() {
         .expect("realm");
     assert!(
         realm.stats().isolated_cycles > 0,
-        "budget never exhausted: the edge case was not exercised"
+        "budget never exhausted: the scenario was not exercised"
     );
-    let ks = arena.sim.kernel_stats();
-    assert_eq!(
-        ks.batch_windows, 0,
-        "a window opened across budget exhaustion"
-    );
-    assert_eq!(ks.batched_beats, 0);
-    assert_eq!(ks.cycles_total(), CYCLES);
+    assert_eq!(arena.sim.kernel_stats().cycles_total(), CYCLES);
 }
 
-/// Batching edge case 3 — zero-length window on a contended path: two
-/// managers share one memory through the crossbar. The plan itself rejects
-/// the crossbar (it multiplexes per-channel) and the enabled units besides;
-/// steady-state wire occupancy on a live path never reaches the two-beat
-/// window minimum either. No window may open, and the arena run is
-/// bit-identical to stepping.
+/// A contended path with generous regulation: two managers share one
+/// memory through the crossbar, so contention, not budgets, shapes the
+/// traffic. The arena run is bit-identical to stepping.
 #[test]
-fn contended_path_never_opens_a_window() {
+fn contended_path_matches_stepping() {
     let spec = FuzzSpec::new(MEM_BASE, MEM_SIZE)
         .with_ops(20)
         .with_max_beats(8);
@@ -508,7 +471,6 @@ fn contended_path_never_opens_a_window() {
     // Generous regulation: traffic flows freely, contention does the work.
     let mut arena = build_contended_rig(scripts(), 16, 8 * 1024, 1_000);
     arena.sim.set_kernel_mode(KernelMode::Arena);
-    install_batch_plan(&mut arena.sim);
     let mut slow = build_contended_rig(scripts(), 16, 8 * 1024, 1_000);
 
     arena.sim.run(CYCLES);
@@ -517,16 +479,11 @@ fn contended_path_never_opens_a_window() {
     }
     assert_eq!(observe_contended(&arena), observe_contended(&slow));
     assert!(arena.sim.contract_violations().is_empty());
-
-    let ks = arena.sim.kernel_stats();
-    assert_eq!(ks.batch_windows, 0, "window on a contended path");
-    assert_eq!(ks.batched_beats, 0);
-    assert_eq!(ks.cycles_total(), CYCLES);
+    assert_eq!(arena.sim.kernel_stats().cycles_total(), CYCLES);
 }
 
 /// A sink that drains the request channels of one bundle, one beat per
-/// channel per cycle — the minimal downstream half of a relay chain, with
-/// an honest capacity-bounded batch horizon.
+/// channel per cycle — the minimal downstream half of a relay chain.
 struct RequestSink {
     bundle: AxiBundle,
     taken: u64,
@@ -556,14 +513,6 @@ impl Component for RequestSink {
             PortDecl::new("AR", self.bundle.ar.index(), PortDir::Consume),
         ]
     }
-
-    // One pop per consumed channel per cycle, bounded by what is already
-    // visible at the window start.
-    fn batch_horizon(&self, cycle: u64, pool: &ChannelPool) -> u64 {
-        pool.relayable(self.bundle.aw, cycle)
-            .min(pool.relayable(self.bundle.w, cycle))
-            .min(pool.relayable(self.bundle.ar, cycle))
-    }
 }
 
 fn aw_beat(k: u64) -> AwBeat {
@@ -587,8 +536,8 @@ fn ar_beat(k: u64) -> ArBeat {
 }
 
 /// A bypass REALM unit with backlog on every relay chain: upstream
-/// requests, downstream headroom, and downstream responses all queued at
-/// least two deep. Preloading stands in for the producer (beats stamped on
+/// requests, requests already relayed downstream, and downstream
+/// responses all queued at least two deep. Preloading stands in for the producer (beats stamped on
 /// consecutive cycles, exactly as a per-cycle manager would have left
 /// them), so the only components are the unit and a request sink.
 fn build_preloaded_bypass() -> (Sim, ComponentId, ComponentId, AxiBundle, AxiBundle) {
@@ -597,8 +546,7 @@ fn build_preloaded_bypass() -> (Sim, ComponentId, ComponentId, AxiBundle, AxiBun
     let up = AxiBundle::new(sim.pool_mut(), cap);
     let down = AxiBundle::new(sim.pool_mut(), cap);
 
-    // Disabled regulation = transparent wire: the one REALM mode whose
-    // batch horizon can open (an enabled unit always reports zero).
+    // Disabled regulation: the unit is a transparent wire.
     let mut rt = RuntimeConfig::open(2);
     rt.enabled = false;
     let realm = sim.add(RealmUnit::new(DesignConfig::cheshire(), rt, up, down));
@@ -657,21 +605,15 @@ fn observe_bypass(
     )
 }
 
-/// The positive case: with every relay chain backlogged at least two deep
-/// and nothing but a bypass unit and a sink on the path, batch windows DO
-/// open — `RealmUnit::batch_tick` moves the beats in bulk ring copies —
-/// and the end state is still bit-identical to per-cycle stepping.
-///
-/// The structural plan wants a producing component on every wire, which
-/// the preload deliberately omits, so the permission bits are set by hand;
-/// the horizons still do all the behavioral gating.
+/// A bypass unit with every relay chain backlogged at least two deep and
+/// beats pushed before the first run: the arena run's end state is
+/// bit-identical to per-cycle stepping.
 #[test]
-fn preloaded_bypass_unit_batches_and_matches_stepping() {
+fn preloaded_bypass_unit_matches_stepping() {
     const CYCLES: u64 = 64;
 
     let (mut arena_sim, a_realm, a_sink, up, down) = build_preloaded_bypass();
     arena_sim.set_kernel_mode(KernelMode::Arena);
-    arena_sim.set_batch_plan(vec![true, true]);
     arena_sim.run(CYCLES);
 
     let (mut step_sim, s_realm, s_sink, s_up, s_down) = build_preloaded_bypass();
@@ -685,20 +627,6 @@ fn preloaded_bypass_unit_batches_and_matches_stepping() {
     );
     assert!(arena_sim.contract_violations().is_empty());
     assert!(step_sim.contract_violations().is_empty());
-
-    // The point of the test: bulk windows actually ran. Expect two (a
-    // four-cycle window bounded by the sink backlog, then a two-cycle one
-    // bounded by the remaining upstream requests), moving beats on all
-    // five channels.
-    let ks = arena_sim.kernel_stats();
-    assert!(ks.batch_windows >= 2, "no bulk windows formed: {ks:?}");
-    assert!(
-        ks.batched_beats >= 20,
-        "windows formed but barely moved beats: {ks:?}"
-    );
-    let ss = step_sim.kernel_stats();
-    assert_eq!(ss.batch_windows, 0);
-    assert_eq!(ss.batched_beats, 0);
 
     // Everything the preload parked either drained out of the sink or
     // piled up on the unpopped upstream response wires.
@@ -732,9 +660,6 @@ fn testbench_run_matches_stepping() {
         cfg
     };
     const CYCLES: u64 = 30_000;
-    // The arena kernel carries the production batch plan (Testbench::new
-    // installs it): the regulated units veto every window, so this leg
-    // must both match and report zero batched work.
     let mut fast = Testbench::new(config());
     fast.sim_mut().set_kernel_mode(KernelMode::Arena);
     fast.run(CYCLES);
@@ -745,7 +670,6 @@ fn testbench_run_matches_stepping() {
 
     let a = fast.result();
     let b = slow.result();
-    assert_eq!(fast.sim().kernel_stats().batch_windows, 0);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.core_accesses, b.core_accesses);
     assert_eq!(

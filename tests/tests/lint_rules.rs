@@ -9,7 +9,7 @@ use axi_sim::{AxiBundle, Component, PortDecl, PortDir, Sim, TickCtx};
 use axi_traffic::FuzzSpec;
 use cheshire_soc::{Regulation, Testbench, TestbenchConfig, LLC_BASE};
 use proptest::prelude::*;
-use realm_lint::{analyze, analyze_with_partition, Severity, SystemModel};
+use realm_lint::{analyze, analyze_deps, Severity, SystemModel};
 
 /// A component that declares the manager side of one bundle and does
 /// nothing — enough to give wires a driver/consumer for graph fixtures.
@@ -139,7 +139,8 @@ fn golden_wire_unallocated() {
     sim.add(Sub(b));
     sim.add(Bad);
     let topo = sim.topology();
-    let (report, partition) = analyze_with_partition(&topo, &SystemModel::new());
+    let report = analyze(&topo, &SystemModel::new());
+    let (partition, _) = analyze_deps(&topo, &SystemModel::new());
     let diags = report.by_rule("wire-unallocated");
     assert_eq!(diags.len(), 2, "{report}");
     assert!(diags.iter().all(|d| d.severity == Severity::Error));
