@@ -20,6 +20,9 @@
 //!   `tests/corpus/coverage_baseline.txt` from this run's round-0 coverage
 //!   and exit (use after adding corpus entries).
 //!
+//! A numeric knob that does not parse, or is out of range, stops the
+//! campaign with a message naming the variable and the value.
+//!
 //! Writes `results/fuzz_campaign.json` and exits nonzero on any oracle
 //! violation, conformance violation, unfinished run, or baseline coverage
 //! key this campaign failed to reach.
@@ -33,18 +36,12 @@ use std::time::{Duration, Instant};
 
 use realm_bench::json::Json;
 use realm_bench::run_sweep;
+use realm_bench::sweep::env_knob;
 use realm_fuzz::{Campaign, CampaignConfig, SystemSpec};
 
 const CORPUS_DIR: &str = "tests/corpus";
 const BASELINE_PATH: &str = "tests/corpus/coverage_baseline.txt";
 const RESULTS_PATH: &str = "results/fuzz_campaign.json";
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Corpus seeds, sorted by file name for a deterministic round 0; the
 /// built-in baselines when the corpus directory is missing or empty.
@@ -94,13 +91,13 @@ fn int(v: u64) -> Json {
 }
 
 fn main() {
-    let seconds = std::env::var("REALM_FUZZ_SECONDS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(5.0);
+    let seconds = env_knob("REALM_FUZZ_SECONDS", "a number of seconds", |s: &f64| {
+        s.is_finite() && *s >= 0.0
+    })
+    .unwrap_or(5.0);
     let cfg = CampaignConfig {
-        seed: env_u64("REALM_FUZZ_SEED", 0xF0CC),
-        batch: env_u64("REALM_FUZZ_BATCH", 16) as usize,
+        seed: env_knob("REALM_FUZZ_SEED", "a decimal seed", |_| true).unwrap_or(0xF0CC),
+        batch: env_knob("REALM_FUZZ_BATCH", "a positive batch size", |&n| n > 0).unwrap_or(16),
         guided: true,
     };
 

@@ -20,16 +20,12 @@ pub struct MonitorRig {
 
 impl MonitorRig {
     /// Creates a rig; monitors default on unless `REALM_MONITORS` is set to
-    /// `0`, `off`, or `false`.
+    /// `0`, `off`, or `false` ([`cheshire_soc::monitors_enabled_by_env`]).
     pub fn new() -> Self {
-        let enabled = !matches!(
-            std::env::var("REALM_MONITORS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
         Self {
             monitors: Vec::new(),
             scoreboard: Scoreboard::new(),
-            enabled,
+            enabled: cheshire_soc::monitors_enabled_by_env(),
         }
     }
 

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and Criterion benches of the
+//! Shared helpers for the experiment binaries and the benchmark of the
 //! AXI-REALM reproduction. See the `fig6a`, `fig6b`, `table1`, `table2`,
 //! and `ablations` binaries.
 

@@ -2,8 +2,7 @@
 //! ring's push/pop and a relay between two rings.
 //!
 //! The benchmark's `sim.pool_push_pop_ns` and `sim.pool_relay_ns` time
-//! these probes; the `channel_pool` criterion bench runs them
-//! interactively.
+//! these probes.
 
 use axi4::{BBeat, TxnId};
 use axi_sim::ChannelPool;

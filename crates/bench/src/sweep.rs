@@ -7,8 +7,9 @@
 //! points fully independent), so simulated results are bit-identical
 //! whatever the thread count — parallelism and fast-forwarding may only
 //! change wall-clock. Set `REALM_SWEEP_THREADS=1` to force the serial
-//! order, or any other value to cap the worker count.
+//! order, or any other positive count to cap the worker count.
 
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -231,13 +232,43 @@ impl<R> SweepOutcome<R> {
     }
 }
 
-fn worker_count(points: usize) -> usize {
-    let available = std::thread::available_parallelism().map_or(1, usize::from);
-    let requested = std::env::var("REALM_SWEEP_THREADS")
+/// Parses `value` as the numeric environment knob `key`.
+///
+/// # Errors
+///
+/// A message naming the variable, the value and `expected` when `value`
+/// does not parse as `T` or `valid` refuses it.
+fn parse_knob<T: FromStr>(
+    key: &str,
+    value: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    value
+        .parse()
         .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(available);
+        .filter(|v| valid(v))
+        .ok_or_else(|| format!("{key}={value:?} is not {expected}"))
+}
+
+/// The value of the numeric environment knob `key`; `None` when unset.
+///
+/// # Panics
+///
+/// If the value does not parse as `T` or `valid` refuses it, with a
+/// message naming the variable, the value and `expected`: a bad value
+/// never falls back to a default.
+pub fn env_knob<T: FromStr>(key: &str, expected: &str, valid: impl Fn(&T) -> bool) -> Option<T> {
+    let value = std::env::var_os(key)?;
+    Some(
+        parse_knob(key, &value.to_string_lossy(), expected, valid)
+            .unwrap_or_else(|e| panic!("{e}")),
+    )
+}
+
+fn worker_count(points: usize) -> usize {
+    let requested = env_knob("REALM_SWEEP_THREADS", "a positive thread count", |&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
     requested.min(points).max(1)
 }
 
@@ -393,5 +424,29 @@ mod tests {
         let n = worker_count(8);
         std::env::remove_var("REALM_SWEEP_THREADS");
         assert_eq!(n, 1);
+    }
+
+    /// A value that does not parse, or that the knob refuses, is an error
+    /// naming the variable and the value, never a silent default.
+    #[test]
+    fn numeric_knobs_refuse_bad_values() {
+        let threads =
+            |v| parse_knob::<usize>("REALM_SWEEP_THREADS", v, "a thread count", |&n| n > 0);
+        assert_eq!(threads("4"), Ok(4));
+        for bad in ["0", "abc", "", "-1", "2.5"] {
+            let err = threads(bad).unwrap_err();
+            assert!(err.contains("REALM_SWEEP_THREADS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+        let seconds = |v| {
+            parse_knob::<f64>("REALM_FUZZ_SECONDS", v, "seconds", |s| {
+                s.is_finite() && *s >= 0.0
+            })
+        };
+        assert_eq!(seconds("0.5"), Ok(0.5));
+        for bad in ["-1", "inf", "NaN", "5s"] {
+            assert!(seconds(bad).is_err(), "{bad:?}");
+        }
+        assert!(parse_knob::<u64>("REALM_FUZZ_SEED", "0xF0CC", "a seed", |_| true).is_err());
     }
 }

@@ -20,7 +20,9 @@
 use std::path::PathBuf;
 
 use axi_sim::ComponentProfile;
-use realm_telemetry::{chrome_trace, to_json_string, Histogram, TelemetrySink};
+use realm_telemetry::{
+    chrome_trace, to_json_string, trace_path_from_env, Histogram, TelemetrySink,
+};
 
 use crate::json::Json;
 use crate::Row;
@@ -31,17 +33,6 @@ pub fn telemetry_from_env() -> bool {
     match std::env::var("REALM_TELEMETRY").as_deref() {
         Ok("") | Ok("0") | Ok("off") | Err(_) => false,
         Ok(_) => true,
-    }
-}
-
-/// The Chrome-trace output path named by `REALM_TRACE`, if tracing is on.
-/// The variable's value *is* the path (`REALM_TRACE=out.json`); empty,
-/// `0`, and `off` disable tracing, matching
-/// [`realm_telemetry::trace_from_env`].
-pub fn trace_path_from_env() -> Option<PathBuf> {
-    match std::env::var("REALM_TRACE").as_deref() {
-        Ok("") | Ok("0") | Ok("off") | Err(_) => None,
-        Ok(path) => Some(PathBuf::from(path)),
     }
 }
 

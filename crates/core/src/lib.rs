@@ -43,7 +43,6 @@ mod config;
 mod counters;
 mod guard;
 mod monitor;
-pub mod mpam;
 pub mod planner;
 mod read_path;
 mod regs;

@@ -89,7 +89,7 @@ pub mod offsets {
     pub const DOWNSTREAM_STALLS: u64 = 0x30;
     /// Hardware discovery (read-only): bits [7:0] region count, [15:8]
     /// pending transactions, [31:16] write-buffer depth, bit 32 splitter
-    /// present — what an MPAM-style hypervisor probes before programming.
+    /// present — what a hypervisor probes before programming the unit.
     pub const DESIGN_INFO: u64 = 0x38;
 
     /// Region: base address.

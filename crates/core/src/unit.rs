@@ -3,7 +3,7 @@
 
 use axi4::{fragment_read, fragment_write_header};
 use axi_sim::{AxiBundle, Component, CoverageMap, TickCtx};
-use realm_telemetry::{trace_from_env, Histogram, TelemetrySink};
+use realm_telemetry::{trace_path_from_env, Histogram, TelemetrySink};
 
 use crate::config::{DesignConfig, RuntimeConfig};
 use crate::counters::UnitStats;
@@ -154,7 +154,7 @@ impl RealmUnit {
             .expect("valid runtime configuration");
         let monitor = BudgetMonitor::new(&runtime);
         let regs = shared_regs(design, runtime.clone());
-        let telem = UnitTelemetry::new(design.num_regions, trace_from_env());
+        let telem = UnitTelemetry::new(design.num_regions, trace_path_from_env().is_some());
         Self {
             design,
             regs,
@@ -264,7 +264,7 @@ impl RealmUnit {
             if self.monitor.regions()[i].config != cfg {
                 self.monitor.set_region(i, cfg, cycle);
                 self.active.regions[i] = cfg;
-                // A live budget reprogram is the mechanism behind MPAM-style
+                // A live budget reprogram is the mechanism behind
                 // criticality switches — worth a mark on the trace.
                 self.telem.push_instant("region-reprogrammed", cycle);
             }

@@ -49,7 +49,6 @@ mod sim;
 mod topology;
 mod trace;
 mod vcd;
-mod watchdog;
 mod wire;
 
 pub use arb::RoundRobin;
@@ -64,7 +63,6 @@ pub use sim::{
 pub use topology::{PortDecl, PortDir, TopoComponent, TopoWire, Topology, WireEnd, WireIndex};
 pub use trace::{TraceChannel, TraceEvent, TracePayload, TraceProbe};
 pub use vcd::vcd_dump;
-pub use watchdog::Watchdog;
 pub use wire::{PushError, Wire, WireStats};
 
 // Re-exported so downstream crates can implement the

@@ -273,9 +273,6 @@ pub struct ChannelPool {
     // Beats currently on any wire, maintained push/pop-incrementally so the
     // kernel's idle check is O(1) instead of a walk over every wire.
     in_flight: u64,
-    // Beats ever accepted onto any wire, maintained incrementally so
-    // activity watchers (the watchdog) read it in O(1).
-    total_pushed: u64,
     // Records sitting in tap buffers, not yet drained: the kernel drains
     // tap observers in bulk once this reaches its threshold.
     tap_backlog: u64,
@@ -374,7 +371,6 @@ impl ChannelPool {
         };
         self.tap_backlog += tapped;
         self.in_flight += 1;
-        self.total_pushed += 1;
         if let Some(wk) = &self.wake {
             let all = wk.all[wk.slot_base[T::SLOT] + id.index];
             self.wake_now |= all & self.actor_later;
@@ -567,23 +563,6 @@ impl ChannelPool {
             "in-flight counter out of sync with wire occupancy"
         );
         self.in_flight
-    }
-
-    /// Total beats ever pushed onto any wire (O(1)) — a monotone activity
-    /// counter; if it stops moving, no beat is flowing anywhere in the
-    /// system.
-    pub fn total_pushes(&self) -> u64 {
-        debug_assert_eq!(
-            self.total_pushed,
-            {
-                fn sum<T>(lane: &Lane<T>) -> u64 {
-                    lane.rings.iter().map(|r| r.stats().total_pushed).sum()
-                }
-                sum(&self.aw) + sum(&self.w) + sum(&self.b) + sum(&self.ar) + sum(&self.r)
-            },
-            "push counter out of sync with per-wire stats"
-        );
-        self.total_pushed
     }
 
     /// Arms (or disarms, with `None`) the access sanitizer. While armed,

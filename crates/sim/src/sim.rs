@@ -846,14 +846,19 @@ impl Sim {
     ) -> bool {
         let target = self.cycle + max_cycles;
         if self.mode == KernelMode::Step {
+            // Tap observers are folded up to date on return, as the arena
+            // does: beats pushed in the last cycle by components registered
+            // after an observer would otherwise wait for its next tick.
             while self.cycle < target {
                 if let Some(done) = done.as_mut() {
                     if done(self) {
+                        self.drain_observers();
                         return true;
                     }
                 }
                 self.step();
             }
+            self.drain_observers();
             return match done {
                 Some(done) => done(self),
                 None => false,

@@ -183,76 +183,6 @@ impl TraceProbe {
         out
     }
 
-    /// Renders the trace as a JSON array of structured events (the machine
-    /// twin of [`TraceProbe::dump`]), feeding the same exporters as the
-    /// telemetry hook. Deterministic: events in ring order, integer fields
-    /// only.
-    pub fn export_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("[");
-        let mut first = true;
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let channel = match e.channel {
-                TraceChannel::Aw => "AW",
-                TraceChannel::W => "W",
-                TraceChannel::B => "B",
-                TraceChannel::Ar => "AR",
-                TraceChannel::R => "R",
-            };
-            let _ = write!(
-                out,
-                "\n  {{\"cycle\": {}, \"channel\": \"{channel}\", ",
-                e.cycle
-            );
-            match &e.payload {
-                TracePayload::Aw(b) => {
-                    let _ = write!(
-                        out,
-                        "\"id\": {}, \"addr\": {}, \"len\": {}}}",
-                        b.id.raw(),
-                        b.addr.raw(),
-                        b.len.beats()
-                    );
-                }
-                TracePayload::Ar(b) => {
-                    let _ = write!(
-                        out,
-                        "\"id\": {}, \"addr\": {}, \"len\": {}}}",
-                        b.id.raw(),
-                        b.addr.raw(),
-                        b.len.beats()
-                    );
-                }
-                TracePayload::W(b) => {
-                    let _ = write!(
-                        out,
-                        "\"data\": {}, \"strb\": {}, \"last\": {}}}",
-                        b.data, b.strb, b.last
-                    );
-                }
-                TracePayload::B(b) => {
-                    let _ = write!(out, "\"id\": {}, \"resp\": \"{}\"}}", b.id.raw(), b.resp);
-                }
-                TracePayload::R(b) => {
-                    let _ = write!(
-                        out,
-                        "\"id\": {}, \"data\": {}, \"resp\": \"{}\", \"last\": {}}}",
-                        b.id.raw(),
-                        b.data,
-                        b.resp,
-                        b.last
-                    );
-                }
-            }
-        }
-        out.push_str(if first { "]\n" } else { "\n]\n" });
-        out
-    }
-
     fn record(&mut self, cycle: Cycle, channel: TraceChannel, payload: TracePayload) {
         // A capacity-0 probe retains nothing: refuse the event outright.
         // (Falling through would pop an empty ring and then push, leaving
@@ -499,11 +429,10 @@ mod tests {
         assert_eq!(p.len(), 0, "capacity 0 must hold zero events");
         assert!(p.is_empty());
         assert_eq!(p.dropped(), 3, "every observed beat must be counted");
-        assert_eq!(p.export_json().trim(), "[]");
     }
 
     #[test]
-    fn export_json_mirrors_the_ring() {
+    fn telemetry_mirrors_the_ring() {
         let mut pool = ChannelPool::new();
         let bundle = AxiBundle::with_defaults(&mut pool);
         let mut probe = TraceProbe::new(bundle, 8).named("port0");
@@ -513,14 +442,6 @@ mod tests {
             TracePayload::R(RBeat::okay(TxnId::new(1), 0xabc, true)),
         );
         probe.record(7, TraceChannel::W, TracePayload::W(WBeat::full(3, false)));
-        let json = probe.export_json();
-        assert!(json.starts_with('['));
-        assert!(json.contains("\"cycle\": 5"));
-        assert!(json.contains("\"channel\": \"R\""));
-        assert!(json.contains("\"data\": 2748")); // 0xabc
-        assert!(json.contains("\"last\": false"));
-        assert_eq!(json.matches("\"cycle\"").count(), 2);
-
         let mut sink = realm_telemetry::TelemetrySink::new();
         Component::telemetry(&probe, &mut sink);
         assert_eq!(sink.get_counter("port0.events"), Some(2));

@@ -27,9 +27,9 @@ pub mod experiments;
 mod testbench;
 
 pub use testbench::{
-    Regulation, RunResult, Testbench, TestbenchConfig, Timeline, TimelineSample, CFG_BASE,
-    CFG_SIZE, CORE_BUFFER, DMA_LLC_BUFFER, DMA_LLC_BUFFER_SIZE, LLC_BASE, LLC_SIZE, SPM_BASE,
-    SPM_SIZE,
+    monitors_enabled_by_env, Regulation, RunResult, Testbench, TestbenchConfig, Timeline,
+    TimelineSample, CFG_BASE, CFG_SIZE, CORE_BUFFER, DMA_LLC_BUFFER, DMA_LLC_BUFFER_SIZE, LLC_BASE,
+    LLC_SIZE, SPM_BASE, SPM_SIZE,
 };
 
 /// Startup gate for experiment binaries that never construct a

@@ -70,7 +70,7 @@ pub struct TestbenchConfig {
 
 /// Reads the `REALM_MONITORS` environment variable: monitors default on
 /// unless it is set to `0`, `off`, or `false`.
-fn monitors_enabled_by_env() -> bool {
+pub fn monitors_enabled_by_env() -> bool {
     !matches!(
         std::env::var("REALM_MONITORS").as_deref(),
         Ok("0") | Ok("off") | Ok("false")

@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// A log-bucketed (HDR-style) histogram over `u64` samples.
 ///
@@ -285,17 +286,17 @@ impl TelemetrySink {
     }
 }
 
-/// `true` when the `REALM_TRACE` environment variable requests event
-/// capture.
+/// The Chrome-trace output path named by the `REALM_TRACE` environment
+/// variable, if it requests event capture.
 ///
-/// Unset, empty, `0`, and `off` all mean disabled; any other value (most
-/// usefully an output path the harness writes the trace to) enables it.
+/// The variable's value *is* the path (`REALM_TRACE=out.json`); unset,
+/// empty, `0`, and `off` all mean disabled. Allocation-free when unset.
 /// Trace capture must never change simulated behaviour — only whether
 /// spans and instants are retained for export.
-pub fn trace_from_env() -> bool {
-    match std::env::var("REALM_TRACE").as_deref() {
-        Ok("") | Ok("0") | Ok("off") | Err(_) => false,
-        Ok(_) => true,
+pub fn trace_path_from_env() -> Option<PathBuf> {
+    match std::env::var("REALM_TRACE") {
+        Ok(path) if !matches!(path.as_str(), "" | "0" | "off") => Some(PathBuf::from(path)),
+        _ => None,
     }
 }
 

@@ -4,7 +4,7 @@
 //! randomized [`Op`]s for a [`ScriptedManager`](crate::ScriptedManager) —
 //! mixed reads, writes, and idle gaps over a configurable address window.
 //! Generation is a pure function of `(spec, seed)`, so a failure observed
-//! under any oracle (conformance monitors, data checks, watchdogs) is
+//! under any oracle (conformance monitors, data checks, bandwidth bounds) is
 //! reproduced bit-identically from its printed seed.
 //!
 //! [`shrink`] then reduces a failing script to a minimal reproducer in two

@@ -21,13 +21,4 @@ for bin in related_work design_space extension_dram extension_cache timeline; do
 done
 
 echo
-echo "== examples =="
-for ex in quickstart dos_mitigation bandwidth_monitoring budget_tuning \
-          noc_integration smartnic_tenants mpam_hypervisor budget_planner; do
-    echo
-    echo "--- example: $ex ---"
-    cargo run --release -q -p cheshire-soc --example "$ex"
-done
-
-echo
 echo "All outputs regenerated; JSON in results/."

@@ -740,3 +740,102 @@ fn monitor_tap_backlog_stays_bounded() {
     );
     assert_eq!(report, stepped, "arena monitors disagree with stepping");
 }
+
+/// A manager → REALM unit → memory rig whose protocol monitors are
+/// registered ahead of every component that pushes, so the beats pushed in
+/// a run's last cycle sit in the taps when the run returns.
+fn build_monitored_first(script: Vec<Op>) -> (Sim, ComponentId) {
+    let mut sim = Sim::new();
+    let cap = BundleCapacity::uniform(4);
+    let upstream = AxiBundle::new(sim.pool_mut(), cap);
+    let downstream = AxiBundle::new(sim.pool_mut(), cap);
+    ProtocolMonitor::attach(&mut sim, "up", upstream);
+    ProtocolMonitor::attach(&mut sim, "down", downstream);
+    let mut rt = RuntimeConfig::open(2);
+    rt.frag_len = 4;
+    rt.regions[0] = RegionConfig {
+        base: MEM_BASE,
+        size: MEM_SIZE,
+        budget_max: 4096,
+        period: 500,
+    };
+    let mgr = sim.add(ScriptedManager::new(upstream, script));
+    sim.add(RealmUnit::new(
+        DesignConfig::cheshire(),
+        rt,
+        upstream,
+        downstream,
+    ));
+    sim.add(MemoryModel::new(
+        MemoryConfig::spm(MEM_BASE, MEM_SIZE),
+        downstream,
+    ));
+    (sim, mgr)
+}
+
+/// Every registry counter and gauge except the kernel's own bookkeeping.
+fn component_telemetry(sim: &Sim) -> Vec<(String, u64)> {
+    let sink = sim.telemetry();
+    sink.counters()
+        .iter()
+        .chain(sink.gauges())
+        .filter(|(key, _)| !key.starts_with("kernel."))
+        .map(|(key, &value)| (key.clone(), value))
+        .collect()
+}
+
+/// Component telemetry is kernel-invariant: whether a run returns on its
+/// cycle budget mid-traffic or on its predicate, both kernels fold every
+/// tapped beat into the monitors before returning.
+#[test]
+fn component_telemetry_matches_stepping() {
+    let script = || {
+        (0..12u64)
+            .map(|k| {
+                let addr = MEM_BASE + k * 256;
+                let len = BurstLen::new(16).expect("in range");
+                if k % 2 == 0 {
+                    Op::Read(ArBeat::new(
+                        TxnId::new(0),
+                        addr,
+                        len,
+                        BurstSize::bus64(),
+                        BurstKind::Incr,
+                    ))
+                } else {
+                    let aw = AwBeat::new(
+                        TxnId::new(0),
+                        addr,
+                        len,
+                        BurstSize::bus64(),
+                        BurstKind::Incr,
+                    );
+                    Op::Write(WriteTxn::from_words(aw, 0..16).expect("legal burst"))
+                }
+            })
+            .collect::<Vec<_>>()
+    };
+    let observe = |mode: KernelMode, cycles: Option<u64>| {
+        let (mut sim, mgr) = build_monitored_first(script());
+        sim.set_kernel_mode(mode);
+        match cycles {
+            Some(n) => sim.run(n),
+            None => assert!(sim.run_until(100_000, |s| {
+                s.component::<ScriptedManager>(mgr).expect("mgr").is_done()
+            })),
+        }
+        assert_eq!(sim.pool().tap_backlog(), 0, "{mode:?}: undrained taps");
+        (sim.cycle(), component_telemetry(&sim))
+    };
+    for cycles in (5..400).step_by(13).map(Some).chain([None]) {
+        assert_eq!(
+            observe(KernelMode::Arena, cycles),
+            observe(KernelMode::Step, cycles),
+            "run of {cycles:?} cycles"
+        );
+    }
+    let (_, done) = observe(KernelMode::Step, None);
+    for key in ["conf.up.r_beats", "conf.up.w_beats"] {
+        assert!(done.contains(&(key.to_owned(), 6 * 16)), "{key}: {done:?}");
+    }
+}
