@@ -98,7 +98,7 @@ fn throttle_ablation() -> (ExperimentReport, TelemetrySink) {
             vec![
                 ("exec_cycles", r.cycles as f64),
                 ("lat_mean", r.core_latency.mean().unwrap_or(0.0)),
-                ("lat_max", r.core_latency.max().unwrap_or(0) as f64),
+                ("lat_max", r.core_latency.max() as f64),
                 ("dma_Bpercyc", r.dma_bytes as f64 / r.cycles as f64),
             ],
         ));
@@ -150,7 +150,7 @@ fn splitter_ablation() -> (ExperimentReport, TelemetrySink) {
             rt.label.clone(),
             vec![
                 ("exec_cycles", r.cycles as f64),
-                ("lat_max", r.core_latency.max().unwrap_or(0) as f64),
+                ("lat_max", r.core_latency.max() as f64),
                 ("unit_kGE", area.units_ge() / 1000.0),
             ],
         ));

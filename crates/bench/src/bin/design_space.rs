@@ -54,12 +54,7 @@ fn run_point(point: &Point) -> (u64, u64, TelemetrySink, axi_sim::KernelStats) {
     assert!(tb.run_until_core_done(100_000_000), "run exceeded cap");
     tb.assert_conformance();
     let r = tb.result();
-    (
-        r.cycles,
-        r.core_latency.max().unwrap_or(0),
-        r.telemetry,
-        r.kernel,
-    )
+    (r.cycles, r.core_latency.max(), r.telemetry, r.kernel)
 }
 
 fn main() {

@@ -147,7 +147,7 @@ fn run(frag_len: Option<u16>, with_dma: bool) -> (Outcome, KernelStats) {
     let outcome = Outcome {
         cycles: c.finished_at().expect("core done"),
         lat_mean: c.latency().mean().unwrap_or(0.0),
-        lat_max: c.latency().max().unwrap_or(0),
+        lat_max: c.latency().max(),
         row_hit_rate: d.stats().hit_rate().unwrap_or(0.0),
         telemetry: sim.telemetry(),
     };

@@ -5,22 +5,21 @@
 //!
 //! All eleven points run through the parallel sweep harness; results are
 //! bit-identical to the old serial loop (set `REALM_SWEEP_THREADS=1` to
-//! check). Wall-clock and kernel throughput land in `BENCH_kernel.json` at
-//! the repo root; the deterministic kernel counters go into the report's
-//! `runtime` section.
+//! check). Wall-clock and kernel throughput go to stdout only; the
+//! deterministic cycle counts go into the report's `runtime` section.
 //!
 //! ```text
 //! cargo run --release -p realm-bench --bin fig6a
 //! ```
 
 use cheshire_soc::experiments::{
-    fragmentation_sweep_points, llc_regulation, single_source, with_fragmentation,
-    without_reservation, DEFAULT_ACCESSES, MAX_CYCLES,
+    fragmentation_sweep_points, single_source, with_budget, with_fragmentation,
+    without_reservation, DEFAULT_ACCESSES,
 };
-use cheshire_soc::{Regulation, RunResult, Testbench, TestbenchConfig};
+use cheshire_soc::RunResult;
 use realm_bench::telemetry::{maybe_export_registry, maybe_export_trace};
 use realm_bench::{point_row, run_sweep, ExperimentReport, Row};
-use realm_telemetry::TelemetrySink;
+use realm_telemetry::{trace_path_from_env, TelemetrySink};
 
 /// One sweep point of Fig. 6a.
 enum Point {
@@ -35,12 +34,12 @@ fn row(label: &str, r: &RunResult, base: &RunResult) -> Row {
         vec![
             ("perf_pct", r.performance_pct(base)),
             ("exec_cycles", r.cycles as f64),
-            ("lat_min", r.core_latency.min().unwrap_or(0) as f64),
+            ("lat_min", r.core_latency.min() as f64),
             ("lat_mean", r.core_latency.mean().unwrap_or(0.0)),
-            ("lat_max", r.core_latency.max().unwrap_or(0) as f64),
+            ("lat_max", r.core_latency.max() as f64),
             (
                 "lat_p99_bound",
-                r.core_histogram.percentile_bound(0.99).unwrap_or(0) as f64,
+                r.core_latency.quantile_bound(0.99).unwrap_or(0) as f64,
             ),
         ],
     )
@@ -103,30 +102,12 @@ fn main() {
     }
     maybe_export_registry("fig6a", &merged);
 
-    // Trace-demo and kernel self-profile run: a skewed-budget shape
+    // Trace-demo run, only when REALM_TRACE is armed: fig6b's `1/5` point
     // (frag=1, period 1000, DMA at 1/5 of the core's budget) exercises
-    // budget exhaustion and isolation, so an armed REALM_TRACE yields
-    // per-manager transaction spans plus budget-exhausted instants. The
-    // same run supplies the island partition and the per-component kernel
-    // profile for BENCH_kernel.json; none of its numbers enter
-    // results/fig6a.json.
-    let mut cfg = TestbenchConfig::single_source(accesses);
-    cfg.dma = Some(TestbenchConfig::worst_case_dma());
-    cfg.core_regulation = Regulation::Realm(llc_regulation(1, 8 * 1024, 1000));
-    cfg.dma_regulation = Regulation::Realm(llc_regulation(1, 8 * 1024 / 5, 1000));
-    let mut tb = Testbench::new(cfg);
-    let partition = tb.partition();
-    assert!(
-        tb.run_until_core_done(MAX_CYCLES),
-        "trace-demo run exceeded {MAX_CYCLES} cycles"
-    );
-    maybe_export_trace(&tb.telemetry());
-    if let Err(e) = outcome.write_kernel_baseline_full(
-        "BENCH_kernel.json",
-        "fig6a",
-        Some(&partition),
-        Some(&tb.sim().profile()),
-    ) {
-        eprintln!("could not write BENCH_kernel.json: {e}");
+    // budget exhaustion and isolation, so the trace carries per-manager
+    // transaction spans plus budget-exhausted instants. None of its
+    // numbers enter results/fig6a.json.
+    if trace_path_from_env().is_some() {
+        maybe_export_trace(&with_budget(8 * 1024 / 5, accesses).telemetry);
     }
 }

@@ -41,7 +41,7 @@ fn main() {
         vec![
             ("dma_budget_B", 0.0),
             ("perf_pct", 100.0),
-            ("lat_max", base.core_latency.max().unwrap_or(0) as f64),
+            ("lat_max", base.core_latency.max() as f64),
             ("dma_Bpercyc", 0.0),
         ],
     ));
@@ -55,7 +55,7 @@ fn main() {
             vec![
                 ("dma_budget_B", budget as f64),
                 ("perf_pct", r.performance_pct(base)),
-                ("lat_max", r.core_latency.max().unwrap_or(0) as f64),
+                ("lat_max", r.core_latency.max() as f64),
                 ("dma_Bpercyc", r.dma_bytes as f64 / r.cycles as f64),
             ],
         ));

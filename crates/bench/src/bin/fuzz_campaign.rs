@@ -86,10 +86,6 @@ fn load_baseline() -> Option<BTreeSet<String>> {
     )
 }
 
-fn int(v: u64) -> Json {
-    Json::Int(v as i64)
-}
-
 fn main() {
     let seconds = env_knob("REALM_FUZZ_SECONDS", "a number of seconds", |s: &f64| {
         s.is_finite() && *s >= 0.0
@@ -117,8 +113,7 @@ fn main() {
     let mut campaign = Campaign::new(cfg.clone(), seeds.iter().map(|(_, s)| s.clone()).collect());
     let start = Instant::now();
     let deadline = Duration::from_secs_f64(seconds);
-    let mut threads = 1usize;
-    let _ = threads;
+    let mut threads;
     let mut round0_keys: BTreeSet<String> = BTreeSet::new();
 
     // Round 0 (the seeds) always runs; mutation rounds fill the time box.
@@ -183,78 +178,47 @@ fn main() {
         })
         .unwrap_or_default();
 
-    let curve = Json::Arr(
-        campaign
-            .curve()
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("runs".to_owned(), int(p.runs)),
-                    ("keys".to_owned(), int(p.keys)),
-                ])
-            })
-            .collect(),
-    );
-    let violations = Json::Arr(
-        campaign
-            .violations()
-            .iter()
-            .map(|v| {
-                Json::Obj(vec![
-                    ("manager".to_owned(), int(v.check.manager as u64)),
-                    ("bound".to_owned(), int(v.check.bound)),
-                    ("finish".to_owned(), int(v.check.finish)),
-                    ("spec".to_owned(), Json::Str(v.spec.to_text())),
-                    ("minimized".to_owned(), Json::Str(v.minimized.to_text())),
-                ])
-            })
-            .collect(),
-    );
-    let doc = Json::Obj(vec![
+    let curve = campaign
+        .curve()
+        .iter()
+        .map(|p| Json::obj([("runs", p.runs.into()), ("keys", p.keys.into())]));
+    let violations = campaign.violations().iter().map(|v| {
+        Json::obj([
+            ("manager", v.check.manager.into()),
+            ("bound", v.check.bound.into()),
+            ("finish", v.check.finish.into()),
+            ("spec", v.spec.to_text().into()),
+            ("minimized", v.minimized.to_text().into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("experiment", "fuzz-campaign".into()),
+        ("seed", cfg.seed.into()),
+        ("batch", cfg.batch.into()),
+        ("guided", Json::Bool(true)),
+        ("threads", threads.into()),
+        ("seconds_budget", Json::Num(seconds)),
+        ("wall_ms", Json::Num(wall.as_secs_f64() * 1e3)),
+        ("rounds", campaign.curve().len().into()),
+        ("runs", campaign.runs().into()),
+        ("coverage_keys", campaign.coverage_keys().into()),
+        ("round0_keys", round0_keys.len().into()),
+        ("corpus_size", campaign.corpus().len().into()),
+        ("feasible_runs", campaign.feasible_runs().into()),
+        ("oracle_checked", campaign.oracle_checked().into()),
+        ("oracle_violations", campaign.violations().len().into()),
         (
-            "experiment".to_owned(),
-            Json::Str("fuzz-campaign".to_owned()),
+            "conformance_violations",
+            campaign.conformance_violations().into(),
         ),
-        ("seed".to_owned(), int(cfg.seed)),
-        ("batch".to_owned(), int(cfg.batch as u64)),
-        ("guided".to_owned(), Json::Bool(true)),
-        ("threads".to_owned(), int(threads as u64)),
-        ("seconds_budget".to_owned(), Json::Num(seconds)),
-        ("wall_ms".to_owned(), Json::Num(wall.as_secs_f64() * 1e3)),
-        ("rounds".to_owned(), int(campaign.curve().len() as u64)),
-        ("runs".to_owned(), int(campaign.runs())),
-        ("coverage_keys".to_owned(), int(campaign.coverage_keys())),
-        ("round0_keys".to_owned(), int(round0_keys.len() as u64)),
+        ("unfinished_runs", campaign.unfinished_runs().into()),
         (
-            "corpus_size".to_owned(),
-            int(campaign.corpus().len() as u64),
+            "baseline_keys",
+            baseline.as_ref().map_or(Json::Null, |b| b.len().into()),
         ),
-        ("feasible_runs".to_owned(), int(campaign.feasible_runs())),
-        ("oracle_checked".to_owned(), int(campaign.oracle_checked())),
-        (
-            "oracle_violations".to_owned(),
-            int(campaign.violations().len() as u64),
-        ),
-        (
-            "conformance_violations".to_owned(),
-            int(campaign.conformance_violations()),
-        ),
-        (
-            "unfinished_runs".to_owned(),
-            int(campaign.unfinished_runs()),
-        ),
-        (
-            "baseline_keys".to_owned(),
-            baseline
-                .as_ref()
-                .map_or(Json::Null, |b| int(b.len() as u64)),
-        ),
-        (
-            "baseline_missing".to_owned(),
-            Json::Arr(missing.iter().cloned().map(Json::Str).collect()),
-        ),
-        ("curve".to_owned(), curve),
-        ("violations".to_owned(), violations),
+        ("baseline_missing", Json::arr(missing.iter().cloned())),
+        ("curve", Json::Arr(curve.collect())),
+        ("violations", Json::Arr(violations.collect())),
     ]);
     let _ = std::fs::create_dir_all("results");
     if let Err(e) = std::fs::write(RESULTS_PATH, doc.pretty()) {

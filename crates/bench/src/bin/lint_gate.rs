@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 
 use axi4::Addr;
+use axi_sim::{Json, Layout};
 use axi_traffic::StallPlan;
 use cheshire_soc::{experiments, Regulation, Testbench, TestbenchConfig, LLC_BASE};
 
@@ -113,14 +114,14 @@ fn main() -> ExitCode {
             partition.largest_island(),
             partition.depth
         );
-        entries.push(format!(
-            "{{\"system\":\"{name}\",\"report\":{},\"partition\":{}}}",
-            report.to_json(),
-            partition.to_json()
-        ));
+        entries.push(Json::obj([
+            ("system", name.into()),
+            ("report", report.to_json_value()),
+            ("partition", partition.to_json_value()),
+        ]));
     }
 
-    let json = format!("{{\"systems\":[{}]}}", entries.join(","));
+    let json = Json::obj([("systems", Json::Arr(entries))]).render(Layout::Compact);
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }

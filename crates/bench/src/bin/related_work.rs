@@ -247,7 +247,7 @@ fn main() {
         s.rig.assert_clean(&s.sim);
         let contended = s.sim.component::<CoreModel>(s.core).unwrap();
         let contended_cycles = contended.finished_at().unwrap();
-        let lat_max = contended.latency().max().unwrap_or(0);
+        let lat_max = contended.latency().max();
 
         // Leg 2: DoS survival (stalling writer instead of the DMA).
         let mut d = build(regulator, false, true, 300);

@@ -6,7 +6,7 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
-pub mod json;
+pub use realm_telemetry::json;
 pub mod poolbench;
 pub mod report;
 pub mod sweep;

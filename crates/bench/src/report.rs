@@ -25,17 +25,13 @@ impl Row {
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".to_owned(), Json::Str(self.label.clone())),
-            (
-                "values".to_owned(),
-                Json::Arr(
-                    self.values
-                        .iter()
-                        .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), Json::Num(*v)]))
-                        .collect(),
-                ),
-            ),
+        let values = self
+            .values
+            .iter()
+            .map(|(k, v)| Json::Arr(vec![k.as_str().into(), Json::Num(*v)]));
+        Json::obj([
+            ("label", self.label.as_str().into()),
+            ("values", Json::Arr(values.collect())),
         ])
     }
 
@@ -79,9 +75,10 @@ pub struct ExperimentReport {
     pub rows: Vec<Row>,
     /// Free-form notes (paper reference values, caveats).
     pub notes: Vec<String>,
-    /// Per-point kernel counters (ticks executed, cycles skipped) from the
-    /// sweep harness. Deterministic, unlike wall-clock, so they live in the
-    /// report; wall-clock goes to `BENCH_kernel.json` instead.
+    /// Per-point simulated cycle counts from the sweep harness. They are
+    /// identical under every kernel, unlike wall-clock and the
+    /// executed/skipped split, so they live in the report; wall-clock goes
+    /// only to stdout and the benchmark.
     pub runtime: Vec<Row>,
     /// Per-point component telemetry (isolation trips, latency-histogram
     /// bounds, …) distilled from each run's [`TelemetrySink`] registry.
@@ -256,25 +253,14 @@ impl ExperimentReport {
     /// The report as a JSON value (field order matches the files the seed's
     /// serde derive produced, with `runtime` appended).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".to_owned(), Json::Str(self.id.clone())),
-            ("title".to_owned(), Json::Str(self.title.clone())),
-            (
-                "rows".to_owned(),
-                Json::Arr(self.rows.iter().map(Row::to_json).collect()),
-            ),
-            (
-                "notes".to_owned(),
-                Json::Arr(self.notes.iter().map(|n| Json::Str(n.clone())).collect()),
-            ),
-            (
-                "runtime".to_owned(),
-                Json::Arr(self.runtime.iter().map(Row::to_json).collect()),
-            ),
-            (
-                "telemetry".to_owned(),
-                Json::Arr(self.telemetry.iter().map(Row::to_json).collect()),
-            ),
+        let rows = |rows: &[Row]| Json::Arr(rows.iter().map(Row::to_json).collect());
+        Json::obj([
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("rows", rows(&self.rows)),
+            ("notes", Json::arr(self.notes.iter().map(String::as_str))),
+            ("runtime", rows(&self.runtime)),
+            ("telemetry", rows(&self.telemetry)),
         ])
     }
 

@@ -14,33 +14,26 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use axi_sim::{KernelMode, KernelStats};
+use axi_sim::KernelStats;
 
 use crate::Row;
 
-/// Wall-clock and kernel counters for one sweep point.
+/// Kernel counters for one sweep point.
 #[derive(Clone, Debug)]
 pub struct PointRuntime {
     /// The point's label (also used in report runtime rows).
     pub label: String,
-    /// Wall-clock time spent simulating this point.
-    pub wall: Duration,
     /// Kernel counters of the point's simulator at the end of the run.
     pub kernel: KernelStats,
 }
 
 impl PointRuntime {
-    /// Simulated cycles per wall-clock second (executed + skipped).
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.kernel.cycles_total() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
     /// A deterministic report row. Only the total simulated cycle count
     /// appears here: it is identical under the arena kernel and forced
     /// cycle stepping (`REALM_KERNEL=step`), so `results/*.json` stays
     /// bit-identical whichever kernel ran. Kernel-dependent counters
-    /// (ticks executed, skips, wire events) belong in `BENCH_kernel.json`
-    /// via [`SweepOutcome::write_kernel_baseline`].
+    /// (ticks executed, skips, wire events) stay out of `results/`: the
+    /// stdout summary and the benchmark's traced lane report them.
     pub fn to_runtime_row(&self) -> Row {
         Row::new(
             self.label.clone(),
@@ -88,21 +81,6 @@ impl<R> SweepOutcome<R> {
         self.runtime.iter().map(|p| p.kernel.cycles_skipped).sum()
     }
 
-    /// Sum of per-component tick executions across points.
-    pub fn component_ticks(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.component_ticks).sum()
-    }
-
-    /// Sum of per-component elided ticks across points.
-    pub fn component_skips(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.component_skips).sum()
-    }
-
-    /// Sum of recorded wire push/pop wake events across points.
-    pub fn wire_events(&self) -> u64 {
-        self.runtime.iter().map(|p| p.kernel.wire_events).sum()
-    }
-
     /// A one-line human summary of the sweep's runtime, for stdout (not for
     /// `results/*.json`, which must stay deterministic).
     pub fn summary(&self, name: &str) -> String {
@@ -117,118 +95,6 @@ impl<R> SweepOutcome<R> {
             ticks + skipped,
             self.cycles_per_sec() / 1e6,
         )
-    }
-
-    /// Writes the wall-clock baseline for this sweep as JSON — throughput,
-    /// thread count, and per-point timings. Wall-clock is machine-dependent,
-    /// so it lives here (`BENCH_kernel.json` at the repo root) instead of in
-    /// the deterministic `results/*.json` reports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_kernel_baseline<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-        experiment: &str,
-    ) -> std::io::Result<()> {
-        self.write_kernel_baseline_with_partition(path, experiment, None)
-    }
-
-    /// Like [`SweepOutcome::write_kernel_baseline`], with the system's
-    /// static dependence partition (Pass C of `realm-lint`) summarized in
-    /// a `partition` row: component count, island count, largest island,
-    /// and zero-latency schedule depth. The partition is a property of the
-    /// simulated system, not of the machine, but it rides along here so
-    /// the kernel baseline records how much island-level parallelism the
-    /// measured system exposes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_kernel_baseline_with_partition<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-        experiment: &str,
-        partition: Option<&realm_lint::Partition>,
-    ) -> std::io::Result<()> {
-        self.write_kernel_baseline_full(path, experiment, partition, None)
-    }
-
-    /// Like [`SweepOutcome::write_kernel_baseline_with_partition`], with the
-    /// kernel self-profile of one representative run appended as a
-    /// `profile` section: per-component visit counts from
-    /// [`axi_sim::Sim::profile`], plus wall-time per component when the
-    /// `self-profile` feature is on (0 otherwise — the clock reads are
-    /// compiled out of default builds).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_kernel_baseline_full<P: AsRef<std::path::Path>>(
-        &self,
-        path: P,
-        experiment: &str,
-        partition: Option<&realm_lint::Partition>,
-        profile: Option<&[axi_sim::ComponentProfile]>,
-    ) -> std::io::Result<()> {
-        use crate::json::Json;
-        let num = Json::Num;
-        // Counters are emitted as JSON integers (`Json::Int`), never as
-        // `.0`-suffixed floats; only derived rates and wall-clock stay f64.
-        let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
-        let points = self
-            .runtime
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("label".to_owned(), Json::Str(p.label.clone())),
-                    ("wall_ms".to_owned(), num(p.wall.as_secs_f64() * 1e3)),
-                    ("ticks_executed".to_owned(), int(p.kernel.ticks_executed)),
-                    ("cycles_skipped".to_owned(), int(p.kernel.cycles_skipped)),
-                    ("fast_forwards".to_owned(), int(p.kernel.fast_forwards)),
-                    ("component_ticks".to_owned(), int(p.kernel.component_ticks)),
-                    ("component_skips".to_owned(), int(p.kernel.component_skips)),
-                    ("wire_events".to_owned(), int(p.kernel.wire_events)),
-                    ("cycles_per_sec".to_owned(), num(p.cycles_per_sec())),
-                ])
-            })
-            .collect();
-        // Which kernel produced these numbers: the simulator's own
-        // REALM_KERNEL parser, which already refused any other value when
-        // the sweep's first `Sim` was built.
-        let kernel = KernelMode::from_env().unwrap_or_else(|e| panic!("{e}"));
-        let mut doc = vec![
-            ("experiment".to_owned(), Json::Str(experiment.to_owned())),
-            ("kernel".to_owned(), Json::Str(kernel.name().to_owned())),
-            ("threads".to_owned(), int(self.threads as u64)),
-            ("wall_ms".to_owned(), num(self.wall.as_secs_f64() * 1e3)),
-            ("cycles_per_sec".to_owned(), num(self.cycles_per_sec())),
-            ("ticks_executed".to_owned(), int(self.ticks_executed())),
-            ("cycles_skipped".to_owned(), int(self.cycles_skipped())),
-            ("component_ticks".to_owned(), int(self.component_ticks())),
-            ("component_skips".to_owned(), int(self.component_skips())),
-            ("wire_events".to_owned(), int(self.wire_events())),
-            ("points".to_owned(), Json::Arr(points)),
-        ];
-        if let Some(p) = partition {
-            doc.push((
-                "partition".to_owned(),
-                Json::Obj(vec![
-                    ("components".to_owned(), int(p.names.len() as u64)),
-                    ("islands".to_owned(), int(p.island_count() as u64)),
-                    ("largest_island".to_owned(), int(p.largest_island() as u64)),
-                    ("schedule_depth".to_owned(), int(p.depth as u64)),
-                ]),
-            ));
-        }
-        if let Some(profile) = profile {
-            doc.push((
-                "profile".to_owned(),
-                crate::telemetry::profile_json(profile),
-            ));
-        }
-        std::fs::write(path, Json::Obj(doc).pretty())
     }
 }
 
@@ -302,11 +168,9 @@ where
                 let Some((label, input)) = points.get(idx) else {
                     break;
                 };
-                let start = Instant::now();
                 let (result, kernel) = run(input);
                 let runtime = PointRuntime {
                     label: label.clone(),
-                    wall: start.elapsed(),
                     kernel,
                 };
                 collected.lock().expect("no poisoned sweep slots")[idx] = Some((result, runtime));
@@ -344,10 +208,6 @@ mod tests {
         KernelStats {
             ticks_executed: ticks,
             cycles_skipped: skipped,
-            fast_forwards: u64::from(skipped > 0),
-            component_ticks: ticks * 2,
-            component_skips: skipped * 2,
-            wire_events: ticks,
             ..KernelStats::default()
         }
     }
@@ -371,43 +231,12 @@ mod tests {
         let outcome = run_sweep(labelled(&[1u64, 2, 3]), |&p| (p, stats(p * 100, p)));
         assert_eq!(outcome.ticks_executed(), 600);
         assert_eq!(outcome.cycles_skipped(), 6);
-        assert_eq!(outcome.component_ticks(), 1200);
-        assert_eq!(outcome.component_skips(), 12);
-        assert_eq!(outcome.wire_events(), 600);
         let rows = outcome.runtime_rows();
         assert_eq!(rows.len(), 3);
         // Runtime rows carry only the kernel-invariant total, so report
         // files diff clean between the arena kernel and forced stepping.
         assert_eq!(rows[1].values, [("cycles".to_owned(), 202.0)]);
         assert_eq!(rows[2].values, [("cycles".to_owned(), 303.0)]);
-    }
-
-    #[test]
-    fn baseline_counters_are_json_integers() {
-        let outcome = run_sweep(labelled(&[7u64]), |&p| (p, stats(p * 1000, p)));
-        let dir = std::env::temp_dir().join("realm_sweep_baseline_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_kernel.json");
-        outcome.write_kernel_baseline(&path, "unit").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc = crate::json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("ticks_executed"),
-            Some(&crate::json::Json::Int(7000))
-        );
-        assert!(text.contains("\"ticks_executed\": 7000,"), "{text}");
-        assert!(!text.contains("\"ticks_executed\": 7000.0"), "{text}");
-        assert!(!text.contains("\"threads\": 1.0"), "{text}");
-        let point = &doc.get("points").unwrap().as_arr().unwrap()[0];
-        assert_eq!(
-            point.get("wire_events"),
-            Some(&crate::json::Json::Int(7000))
-        );
-        assert_eq!(
-            point.get("component_skips"),
-            Some(&crate::json::Json::Int(14))
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

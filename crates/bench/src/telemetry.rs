@@ -19,7 +19,6 @@
 
 use std::path::PathBuf;
 
-use axi_sim::ComponentProfile;
 use realm_telemetry::{
     chrome_trace, to_json_string, trace_path_from_env, Histogram, TelemetrySink,
 };
@@ -158,24 +157,6 @@ where
         .into_iter()
         .map(|(label, sink)| point_row(label, sink.borrow()))
         .collect()
-}
-
-/// The kernel self-profile as a JSON array for `BENCH_kernel.json`:
-/// per-component visits and (with the `self-profile` feature) wall-time.
-pub fn profile_json(profile: &[ComponentProfile]) -> Json {
-    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
-    Json::Arr(
-        profile
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("name".to_owned(), Json::Str(p.name.clone())),
-                    ("visits".to_owned(), int(p.visits)),
-                    ("wall_ns".to_owned(), int(p.wall_ns)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Validates that `text` is a well-formed Chrome `trace_event` JSON
@@ -328,21 +309,6 @@ mod tests {
         assert!(validate_chrome_trace(bad_phase)
             .unwrap_err()
             .contains("unsupported phase"));
-    }
-
-    #[test]
-    fn profile_json_uses_integer_counters() {
-        let profile = vec![ComponentProfile {
-            index: 0,
-            name: "core".to_owned(),
-            visits: 42,
-            wall_ns: 0,
-        }];
-        let json = profile_json(&profile);
-        let entry = &json.as_arr().unwrap()[0];
-        assert_eq!(entry.get("visits"), Some(&Json::Int(42)));
-        assert_eq!(entry.get("wall_ns"), Some(&Json::Int(0)));
-        assert_eq!(entry.get("name").and_then(Json::as_str), Some("core"));
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn run_once() -> String {
             ("cycles", r.cycles as f64),
             ("core_accesses", r.core_accesses as f64),
             ("lat_mean", r.core_latency.mean().unwrap_or(0.0)),
-            ("lat_max", r.core_latency.max().unwrap_or(0) as f64),
+            ("lat_max", r.core_latency.max() as f64),
             ("dma_bytes", r.dma_bytes as f64),
             ("llc_beats", r.llc_beats as f64),
             ("ticks", r.kernel.ticks_executed as f64),

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use axi_sim::{Json, Layout};
+
 /// How serious a finding is.
 ///
 /// Severity calibration matters: the paper's own Fig. 6b configuration
@@ -143,33 +145,31 @@ impl Report {
         );
     }
 
-    /// Renders the report as a single JSON object:
+    /// The report as a JSON value:
     ///
     /// ```json
     /// {"errors":N,"warnings":N,
     ///  "diagnostics":[{"rule":"...","severity":"...","path":"...","message":"..."}]}
     /// ```
+    pub fn to_json_value(&self) -> Json {
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::obj([
+                ("rule", d.rule.into()),
+                ("severity", d.severity.label().into()),
+                ("path", d.path.as_str().into()),
+                ("message", d.message.as_str().into()),
+            ])
+        });
+        Json::obj([
+            ("errors", self.error_count().into()),
+            ("warnings", self.warning_count().into()),
+            ("diagnostics", Json::Arr(diagnostics.collect())),
+        ])
+    }
+
+    /// [`Report::to_json_value`] rendered on one line, without whitespace.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.warning_count()
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"message\":\"{}\"}}",
-                escape(d.rule),
-                d.severity.label(),
-                escape(&d.path),
-                escape(&d.message)
-            ));
-        }
-        out.push_str("]}");
-        out
+        self.to_json_value().render(Layout::Compact)
     }
 }
 
@@ -188,23 +188,6 @@ impl fmt::Display for Report {
             self.warning_count()
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -27,6 +27,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use axi_sim::{Json, Layout};
+
 /// One source-level violation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Violation {
@@ -138,23 +140,17 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-/// Renders violations as a JSON array (same escaping rules as Pass A).
+/// Renders violations as a compact JSON object, `{"violations":[...]}`.
 pub fn violations_to_json(violations: &[Violation]) -> String {
-    let mut out = String::from("{\"violations\":[");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"text\":\"{}\"}}",
-            crate::diag::escape(&v.file),
-            v.line,
-            crate::diag::escape(v.rule),
-            crate::diag::escape(&v.text)
-        ));
-    }
-    out.push_str("]}");
-    out
+    let violations = violations.iter().map(|v| {
+        Json::obj([
+            ("file", v.file.as_str().into()),
+            ("line", v.line.into()),
+            ("rule", v.rule.into()),
+            ("text", v.text.as_str().into()),
+        ])
+    });
+    Json::obj([("violations", Json::Arr(violations.collect()))]).render(Layout::Compact)
 }
 
 #[cfg(test)]

@@ -34,9 +34,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use axi_sim::{PortDir, Topology};
+use axi_sim::{Json, Layout, PortDir, Topology};
 
-use crate::diag::{escape, Diagnostic, Report, Severity};
+use crate::diag::{Diagnostic, Report, Severity};
 use crate::system::SystemModel;
 
 /// What kind of dependence an edge represents.
@@ -120,7 +120,7 @@ impl Partition {
         self.edges.iter().filter(|e| e.kind == kind).count()
     }
 
-    /// Renders the partition as a single JSON object:
+    /// The partition as a JSON value:
     ///
     /// ```json
     /// {"components":N,"opaque":N,"island_count":N,
@@ -128,43 +128,34 @@ impl Partition {
     ///  "edges":{"wire":N,"couple":N,"comb":N},
     ///  "islands":[["name",...],...],"schedule":["name",...]}
     /// ```
+    pub fn to_json_value(&self) -> Json {
+        let names = |indices: &[usize]| Json::arr(indices.iter().map(|&i| self.names[i].as_str()));
+        Json::obj([
+            ("components", self.names.len().into()),
+            ("opaque", self.opaque.into()),
+            ("island_count", self.island_count().into()),
+            ("largest_island", self.largest_island().into()),
+            ("schedule_depth", self.depth.into()),
+            (
+                "edges",
+                Json::obj([
+                    ("wire", self.edge_count(DepEdgeKind::Wire).into()),
+                    ("couple", self.edge_count(DepEdgeKind::Couple).into()),
+                    ("comb", self.edge_count(DepEdgeKind::Comb).into()),
+                ]),
+            ),
+            (
+                "islands",
+                Json::Arr(self.islands.iter().map(|island| names(island)).collect()),
+            ),
+            ("schedule", names(&self.schedule)),
+        ])
+    }
+
+    /// [`Partition::to_json_value`] rendered on one line, without
+    /// whitespace.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"components\":{},\"opaque\":{},\"island_count\":{},\
-             \"largest_island\":{},\"schedule_depth\":{},\
-             \"edges\":{{\"wire\":{},\"couple\":{},\"comb\":{}}},\"islands\":[",
-            self.names.len(),
-            self.opaque,
-            self.island_count(),
-            self.largest_island(),
-            self.depth,
-            self.edge_count(DepEdgeKind::Wire),
-            self.edge_count(DepEdgeKind::Couple),
-            self.edge_count(DepEdgeKind::Comb),
-        ));
-        for (k, island) in self.islands.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, &i) in island.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\"", escape(&self.names[i])));
-            }
-            out.push(']');
-        }
-        out.push_str("],\"schedule\":[");
-        for (j, &i) in self.schedule.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", escape(&self.names[i])));
-        }
-        out.push_str("]}");
-        out
+        self.to_json_value().render(Layout::Compact)
     }
 }
 

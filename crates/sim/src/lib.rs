@@ -66,8 +66,9 @@ pub use vcd::vcd_dump;
 pub use wire::{PushError, Wire, WireStats};
 
 // Re-exported so downstream crates can implement the
-// `Component::telemetry` hook without a direct `realm-telemetry` dep.
-pub use realm_telemetry::TelemetrySink;
+// `Component::telemetry` hook, record latencies and write JSON without a
+// direct `realm-telemetry` dep.
+pub use realm_telemetry::{Histogram, Json, Layout, TelemetrySink};
 
 /// A clock-cycle count.
 ///

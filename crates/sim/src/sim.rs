@@ -636,8 +636,8 @@ impl Sim {
     /// wall-time are compiled out without the feature, so a default build
     /// contains no wall-clock reads at all. Profiles are *kernel-dependent*
     /// by nature (which visits execute is exactly what distinguishes the
-    /// kernels) and belong in wall-clock artifacts like
-    /// `BENCH_kernel.json`, never in kernel-compared `results/*.json`.
+    /// kernels) and belong in wall-clock measurements like the
+    /// benchmark's traced lane, never in kernel-compared `results/*.json`.
     pub fn profile(&self) -> Vec<ComponentProfile> {
         self.components
             .iter()

@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn single_source_latency_envelope() {
         let r = single_source(N);
-        assert!(r.core_latency.max().unwrap() <= 10, "{:?}", r.core_latency);
+        assert!(r.core_latency.max() <= 10, "{:?}", r.core_latency);
     }
 
     /// The paper's qualitative chain: uncontrolled contention collapses
@@ -140,9 +140,9 @@ mod tests {
             frag1_pct > 40.0,
             "frag=1 must recover most performance, got {frag1_pct:.1}%"
         );
-        assert!(worst.core_latency.max().unwrap() >= 256);
+        assert!(worst.core_latency.max() >= 256);
         assert!(
-            frag1.core_latency.max().unwrap() < 40,
+            frag1.core_latency.max() < 40,
             "frag=1 worst-case latency {:?}",
             frag1.core_latency.max()
         );

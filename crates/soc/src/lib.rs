@@ -17,7 +17,7 @@
 //! let mut tb = Testbench::new(TestbenchConfig::single_source(200));
 //! assert!(tb.run_until_core_done(1_000_000));
 //! let result = tb.result();
-//! assert!(result.core_latency.max().unwrap() <= 10);
+//! assert!(result.core_latency.max() <= 10);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,10 +4,9 @@ use axi4::{Addr, SubordinateId, TxnId};
 use axi_conformance::{ConformanceReport, ProtocolMonitor, Scoreboard};
 use axi_mem::{MemoryConfig, MemoryModel, MmioSubordinate};
 use axi_realm::{BusGuard, DesignConfig, RealmRegFile, RealmUnit, RuntimeConfig};
-use axi_sim::{AxiBundle, BundleCapacity, ComponentId, KernelStats, Sim, TelemetrySink};
+use axi_sim::{AxiBundle, BundleCapacity, ComponentId, Histogram, KernelStats, Sim, TelemetrySink};
 use axi_traffic::{
-    CoreModel, CoreWorkload, DmaConfig, DmaModel, LatencyHistogram, LatencyStats, Op,
-    ScriptedManager, StallPlan, StallingManager,
+    CoreModel, CoreWorkload, DmaConfig, DmaModel, Op, ScriptedManager, StallPlan, StallingManager,
 };
 use axi_xbar::{AddressMap, Crossbar};
 
@@ -125,10 +124,8 @@ pub struct Testbench {
 pub struct RunResult {
     /// Cycle the core finished its workload.
     pub cycles: u64,
-    /// The core's per-access latency aggregate.
-    pub core_latency: LatencyStats,
-    /// The core's per-access latency histogram.
-    pub core_histogram: LatencyHistogram,
+    /// The core's per-access latencies.
+    pub core_latency: Histogram,
     /// Core accesses completed.
     pub core_accesses: u64,
     /// Bytes the DMA moved (read + written).
@@ -586,8 +583,7 @@ impl Testbench {
         let core = self.core();
         RunResult {
             cycles: core.finished_at().unwrap_or_else(|| self.sim.cycle()),
-            core_latency: core.latency(),
-            core_histogram: core.latency_histogram(),
+            core_latency: core.latency().clone(),
             core_accesses: core.completed_accesses(),
             dma_bytes: self.dma().map_or(0, |d| d.bytes_read() + d.bytes_written()),
             llc_beats: self.llc().beats_served(),
@@ -613,7 +609,7 @@ mod tests {
         assert!(tb.run_until_core_done(100_000));
         let r = tb.result();
         assert_eq!(r.core_accesses, 100);
-        assert!(r.core_latency.max().unwrap() <= 10);
+        assert!(r.core_latency.max() <= 10);
         assert_eq!(r.dma_bytes, 0);
         assert!(tb.dma().is_none());
         assert!(tb.core_realm().is_none());
@@ -627,7 +623,7 @@ mod tests {
         assert!(tb.run_until_core_done(5_000_000));
         let r = tb.result();
         assert!(r.dma_bytes > 0);
-        assert!(r.core_latency.max().unwrap() >= 256);
+        assert!(r.core_latency.max() >= 256);
         assert!(tb.xbar().manager_stats(0).ar_granted > 0);
         assert!(tb.spm().beats_served() > 0);
     }

@@ -1,11 +1,11 @@
-//! Dependency-free JSON support for experiment reports.
+//! A small ordered JSON value type with one writer and one parser.
 //!
-//! The harness writes and re-reads its own `results/*.json` files; nothing
-//! external consumes them mid-flight. That closed loop lets us carry a tiny
-//! ordered JSON value type instead of a serde dependency (unavailable in
-//! offline builds). The pretty printer matches serde_json's layout
-//! (two-space indent, `"key": value`) so existing result files and diffs
-//! stay stable.
+//! Every JSON file the workspace writes — experiment reports, telemetry
+//! dumps, Chrome traces, lint reports — is built as a [`Json`] value and
+//! rendered by [`Json::render`] in one of three [`Layout`]s; the harness
+//! also reads its own reports back with [`parse`]. Objects keep insertion
+//! order, so output is deterministic without a serde dependency
+//! (unavailable in offline builds).
 
 use std::fmt::Write as _;
 
@@ -19,8 +19,9 @@ pub enum Json {
     Bool(bool),
     /// An integer, printed without a fractional part. Counters (cycle and
     /// tick counts, thread counts) use this so `"ticks": 3884796` does not
-    /// come out as the float-flavoured `3884796.0`.
-    Int(i64),
+    /// come out as the float-flavoured `3884796.0`. Wide enough for every
+    /// `u64` and `i64`.
+    Int(i128),
     /// A non-integer JSON number (stored as `f64`).
     Num(f64),
     /// A string.
@@ -31,7 +32,73 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::Int(n.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Int(n as i128)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+/// How [`Json::render`] lays a document out: the three layouts the
+/// committed files use.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// serde_json's pretty layout: every container broken over lines,
+    /// two-space indent, `"key": value` (`results/*.json`).
+    Pretty,
+    /// The top two levels broken over lines, everything deeper inline
+    /// with `", "` and `": "` (`results/telemetry/*.json`: one counter,
+    /// histogram or instant per line).
+    Outline,
+    /// No whitespace at all (`results/lint_gate.json`, `detlint.json`).
+    Compact,
+}
+
+impl Layout {
+    /// Containers nested shallower than this put each entry on its own
+    /// line, indented two spaces per level; deeper ones stay on one line.
+    fn multiline_depth(self) -> usize {
+        match self {
+            Layout::Pretty => usize::MAX,
+            Layout::Outline => 2,
+            Layout::Compact => 0,
+        }
+    }
+
+    /// Whether the separators carry a space: `", "` and `": "`.
+    fn spaced(self) -> bool {
+        self != Layout::Compact
+    }
+}
+
 impl Json {
+    /// An object from `(key, value)` pairs, in the given order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of `items` converted to values.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
     /// Looks up a key in an object; `None` for missing keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -57,12 +124,12 @@ impl Json {
         }
     }
 
-    /// The integer payload. Floats qualify only when they are exactly
-    /// integral, so counters survive a trip through older float-formatted
-    /// files.
+    /// The integer payload, if it fits `i64`. Floats qualify only when
+    /// they are exactly integral, so counters survive a trip through older
+    /// float-formatted files.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Json::Int(n) => Some(*n),
+            Json::Int(n) => i64::try_from(*n).ok(),
             Json::Num(n) if *n == n.trunc() && n.abs() < 9e15 => Some(*n as i64),
             _ => None,
         }
@@ -70,7 +137,10 @@ impl Json {
 
     /// The integer payload as `u64`; `None` for negatives.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|n| u64::try_from(n).ok())
+        match self {
+            Json::Int(n) => u64::try_from(*n).ok(),
+            _ => self.as_i64().and_then(|n| u64::try_from(n).ok()),
+        }
     }
 
     /// The elements, if this is an array.
@@ -81,58 +151,75 @@ impl Json {
         }
     }
 
-    /// Renders with two-space indentation, serde_json-pretty style.
+    /// Renders in [`Layout::Pretty`].
     pub fn pretty(&self) -> String {
+        self.render(Layout::Pretty)
+    }
+
+    /// Renders in `layout`, without a trailing newline.
+    pub fn render(&self, layout: Layout) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, layout, 0);
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    fn write(&self, out: &mut String, layout: Layout, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(n) => {
                 let _ = write!(out, "{n}");
             }
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                write_entries(out, layout, depth, "[]", items.iter().map(|v| (None, v)));
             }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
+            Json::Obj(fields) => write_entries(
+                out,
+                layout,
+                depth,
+                "{}",
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// Writes a container's entries (keyed for objects) between the two
+/// characters of `brackets`; an empty container renders as `[]` or `{}`.
+fn write_entries<'a>(
+    out: &mut String,
+    layout: Layout,
+    depth: usize,
+    brackets: &str,
+    entries: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    let multiline = entries.len() > 0 && depth < layout.multiline_depth();
+    out.push_str(open);
+    for (i, (key, value)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+            if layout.spaced() && !multiline {
+                out.push(' ');
+            }
+        }
+        if multiline {
+            out.push('\n');
+            indent(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_escaped(out, key);
+            out.push_str(if layout.spaced() { ": " } else { ":" });
+        }
+        value.write(out, layout, depth + 1);
+    }
+    if multiline {
+        out.push('\n');
+        indent(out, depth);
+    }
+    out.push_str(close);
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -357,9 +444,9 @@ impl Parser<'_> {
         let token = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("bad number at byte {start}"))?;
         // A token with no fraction or exponent is an integer when it fits
-        // i64; everything else falls back to f64.
+        // i128; everything else falls back to f64.
         if !token.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
-            if let Ok(n) = token.parse::<i64>() {
+            if let Ok(n) = token.parse::<i128>() {
                 return Ok(Json::Int(n));
             }
         }
@@ -446,6 +533,32 @@ mod tests {
         assert_eq!(v.get("n"), Some(&Json::Num(42.0)));
         assert_eq!(v.get("n").unwrap().as_i64(), Some(42));
         assert_eq!(v.get("n").unwrap().as_u64(), Some(42));
+    }
+
+    #[test]
+    fn layouts_pin_the_committed_shapes() {
+        let doc = Json::obj([
+            ("a", Json::Int(1)),
+            (
+                "b",
+                Json::obj([("c", Json::arr([1u64, 2])), ("d", Json::Obj(vec![]))]),
+            ),
+            ("e", Json::Arr(vec![])),
+        ]);
+        assert_eq!(
+            doc.render(Layout::Pretty),
+            "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": [\n      1,\n      2\n    ],\n    \
+             \"d\": {}\n  },\n  \"e\": []\n}"
+        );
+        assert_eq!(
+            doc.render(Layout::Outline),
+            "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": [1, 2],\n    \"d\": {}\n  },\n  \"e\": []\n}"
+        );
+        assert_eq!(
+            doc.render(Layout::Compact),
+            "{\"a\":1,\"b\":{\"c\":[1,2],\"d\":{}},\"e\":[]}"
+        );
+        assert_eq!(doc.pretty(), doc.render(Layout::Pretty));
     }
 
     #[test]

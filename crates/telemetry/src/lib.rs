@@ -4,7 +4,9 @@
 //! [`TelemetrySink`]: a registry of named counters and gauges, log-bucketed
 //! latency [`Histogram`]s, and event streams ([`Span`]s and
 //! [`InstantEvent`]s) that render to Chrome `trace_event` JSON via
-//! [`chrome_trace`] for ui.perfetto.dev.
+//! [`chrome_trace`] for ui.perfetto.dev. [`Histogram`] is also the one
+//! latency distribution the traffic generators keep, and [`json`] is the
+//! one JSON writer (and parser) of the workspace.
 //!
 //! Everything here is *pull-based and deterministic by construction*:
 //!
@@ -22,22 +24,53 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
+
+pub mod json;
+
+pub use json::{Json, Layout};
+
+/// Number of [`Histogram`] buckets: bucket 0 plus one per bit of a `u64`.
+const BUCKETS: usize = 65;
 
 /// A log-bucketed (HDR-style) histogram over `u64` samples.
 ///
-/// Bucket `0` holds the value `0`; bucket `i >= 1` holds the half-open
-/// power-of-two range `[2^(i-1), 2^i - 1]`. Exact count, sum, and max are
-/// kept alongside the buckets, so means are exact and only quantiles are
-/// subject to bucket resolution (a factor of two). Backed by a `BTreeMap`
-/// for deterministic iteration.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Bucket `0` holds the value `0`; bucket `i >= 1` holds the power-of-two
+/// range `[2^(i-1), 2^i - 1]`. Exact count, sum, min and max are kept
+/// alongside the buckets, so means and extremes are exact and only
+/// quantiles are subject to bucket resolution (a factor of two). The
+/// buckets are a fixed array, so recording a sample never allocates.
+///
+/// ```
+/// use realm_telemetry::Histogram;
+///
+/// let mut h = Histogram::new();
+/// for v in [8, 12, 300] {
+///     h.record(v);
+/// }
+/// assert_eq!((h.count(), h.min(), h.max()), (3, 8, 300));
+/// assert_eq!(h.buckets().collect::<Vec<_>>(), [(4, 2), (9, 1)]);
+/// assert_eq!(h.quantile_bound(0.5), Some(15));
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: BTreeMap<u32, u64>,
+    buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
+    min: u64,
     max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+        }
+    }
 }
 
 /// Bucket index for a sample: 0 for 0, else `64 - leading_zeros`.
@@ -66,7 +99,12 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        *self.buckets.entry(bucket_of(value)).or_insert(0) += 1;
+        self.buckets[bucket_of(value) as usize] += 1;
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
@@ -77,9 +115,14 @@ impl Histogram {
         self.count
     }
 
-    /// Exact sum of all samples.
+    /// Exact sum of all samples, saturating at `u64::MAX`.
     pub fn sum(&self) -> u64 {
         self.sum
+    }
+
+    /// Exact minimum sample, 0 when empty.
+    pub fn min(&self) -> u64 {
+        self.min
     }
 
     /// Exact maximum sample, 0 when empty.
@@ -103,7 +146,7 @@ impl Histogram {
         }
         let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (&bucket, &n) in &self.buckets {
+        for (bucket, n) in self.buckets() {
             seen += n;
             if seen >= rank {
                 return Some(bucket_bounds(bucket).1.min(self.max));
@@ -117,16 +160,27 @@ impl Histogram {
         self.quantile_bound(0.5)
     }
 
-    /// Iterates `(bucket_index, count)` pairs in ascending bucket order.
+    /// Iterates `(bucket_index, count)` pairs of the non-empty buckets in
+    /// ascending bucket order.
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &n)| (b, n))
+        (0u32..)
+            .zip(&self.buckets)
+            .filter_map(|(bucket, &n)| (n > 0).then_some((bucket, n)))
     }
 
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (&bucket, &n) in &other.buckets {
-            *self.buckets.entry(bucket).or_insert(0) += n;
+        if other.count == 0 {
+            return;
         }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
@@ -300,35 +354,17 @@ pub fn trace_path_from_env() -> Option<PathBuf> {
     }
 }
 
-/// Escapes `s` as the body of a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the sink's spans and instants as Chrome `trace_event` JSON
-/// (`{"traceEvents": [...]}`), loadable in ui.perfetto.dev or
+/// (`{"traceEvents":[...]}`, compact), loadable in ui.perfetto.dev or
 /// `chrome://tracing`.
 ///
 /// Each distinct track becomes a named thread under pid 1 (a
 /// `thread_name` metadata event plus a stable tid from the sorted track
 /// order). Spans render as complete (`"ph":"X"`) events with `ts`/`dur`
 /// in cycles (the viewer's "µs" are cycles, 1:1); instants render as
-/// thread-scoped (`"ph":"i"`) events. Events are emitted in
-/// `(tid, ts, name)` order, so the output is byte-deterministic.
+/// thread-scoped (`"ph":"i"`) events. Events are sorted by tid, `ts`,
+/// duration (instants first) and name, so the output is
+/// byte-deterministic.
 pub fn chrome_trace(sink: &TelemetrySink) -> String {
     let mut tracks: Vec<&str> = sink
         .spans()
@@ -340,134 +376,96 @@ pub fn chrome_trace(sink: &TelemetrySink) -> String {
     tracks.dedup();
     let tid_of = |track: &str| tracks.binary_search(&track).expect("track indexed") + 1;
 
-    let mut events: Vec<(usize, u64, String)> = Vec::new();
-    for span in sink.spans() {
-        let tid = tid_of(&span.track);
-        events.push((
-            tid,
-            span.start,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"txn\"}}",
-                tid,
-                span.start,
-                span.end.saturating_sub(span.start).max(1),
-                escape(&span.name),
-            ),
-        ));
-    }
-    for instant in sink.instants() {
-        let tid = tid_of(&instant.track);
-        events.push((
-            tid,
-            instant.cycle,
-            format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\"name\":\"{}\",\"cat\":\"event\"}}",
-                tid,
-                instant.cycle,
-                escape(&instant.name),
-            ),
-        ));
-    }
-    events.sort();
+    // `(tid, ts, dur, name)`; instants carry no duration.
+    let mut events: Vec<(usize, u64, Option<u64>, &str)> = sink
+        .spans()
+        .iter()
+        .map(|s| {
+            let dur = s.end.saturating_sub(s.start).max(1);
+            (tid_of(&s.track), s.start, Some(dur), s.name.as_str())
+        })
+        .chain(
+            sink.instants()
+                .iter()
+                .map(|i| (tid_of(&i.track), i.cycle, None, i.name.as_str())),
+        )
+        .collect();
+    events.sort_unstable();
 
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    for (tid, track) in tracks.iter().enumerate().map(|(i, t)| (i + 1, t)) {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            escape(track)
-        );
-    }
-    for (_, _, json) in &events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(json);
-    }
-    out.push_str("\n]}\n");
-    out
+    let threads = tracks.iter().zip(1usize..).map(|(&track, tid)| {
+        Json::obj([
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            ("name", "thread_name".into()),
+            ("args", Json::obj([("name", track.into())])),
+        ])
+    });
+    let events = events.into_iter().map(|(tid, ts, dur, name)| {
+        let (ph, timing, cat) = match dur {
+            Some(dur) => ("X", ("dur", dur.into()), "txn"),
+            None => ("i", ("s", "t".into()), "event"),
+        };
+        Json::obj([
+            ("ph", ph.into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            ("ts", ts.into()),
+            timing,
+            ("name", name.into()),
+            ("cat", cat.into()),
+        ])
+    });
+    let doc = Json::obj([("traceEvents", Json::Arr(threads.chain(events).collect()))]);
+    doc.render(Layout::Compact) + "\n"
+}
+
+/// A histogram's summary for the registry dump: exact count, sum and max,
+/// the median and p99 bucket bounds, and `[lo, hi, count]` per non-empty
+/// bucket.
+fn histogram_json(h: &Histogram) -> Json {
+    let buckets = h.buckets().map(|(bucket, n)| {
+        let (lo, hi) = bucket_bounds(bucket);
+        Json::arr([lo, hi, n])
+    });
+    Json::obj([
+        ("count", h.count().into()),
+        ("sum", h.sum().into()),
+        ("max", h.max().into()),
+        ("median_bound", h.median_bound().unwrap_or(0).into()),
+        ("p99_bound", h.quantile_bound(0.99).unwrap_or(0).into()),
+        ("buckets", Json::Arr(buckets.collect())),
+    ])
 }
 
 /// Renders the full registry (counters, gauges, histograms, event streams)
-/// as deterministic JSON for `REALM_TELEMETRY` dumps and per-run reports.
+/// as deterministic JSON in [`Layout::Outline`] for `REALM_TELEMETRY`
+/// dumps and per-run reports.
 pub fn to_json_string(sink: &TelemetrySink) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    let mut first = true;
-    for (k, v) in sink.counters() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {v}", escape(k));
-    }
-    out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-    out.push_str("  \"gauges\": {");
-    first = true;
-    for (k, v) in sink.gauges() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{}\": {v}", escape(k));
-    }
-    out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-    out.push_str("  \"histograms\": {");
-    first = true;
-    for (k, h) in sink.histograms() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"median_bound\": {}, \"p99_bound\": {}, \"buckets\": [",
-            escape(k),
-            h.count(),
-            h.sum(),
-            h.max(),
-            h.median_bound().unwrap_or(0),
-            h.quantile_bound(0.99).unwrap_or(0),
-        );
-        let mut first_b = true;
-        for (bucket, n) in h.buckets() {
-            if !first_b {
-                out.push_str(", ");
-            }
-            first_b = false;
-            let (lo, hi) = bucket_bounds(bucket);
-            let _ = write!(out, "[{lo}, {hi}, {n}]");
-        }
-        out.push_str("]}");
-    }
-    out.push_str(if first { "},\n" } else { "\n  },\n" });
-
-    let _ = writeln!(out, "  \"spans\": {},", sink.spans().len());
-    let _ = write!(out, "  \"instants\": [");
-    first = true;
-    for i in sink.instants() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    {{\"track\": \"{}\", \"name\": \"{}\", \"cycle\": {}}}",
-            escape(&i.track),
-            escape(&i.name),
-            i.cycle
-        );
-    }
-    out.push_str(if first { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
+    let scalars =
+        |map: &BTreeMap<String, u64>| Json::obj(map.iter().map(|(k, &v)| (k.as_str(), v.into())));
+    let instants = sink.instants().iter().map(|i| {
+        Json::obj([
+            ("track", i.track.as_str().into()),
+            ("name", i.name.as_str().into()),
+            ("cycle", i.cycle.into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("counters", scalars(sink.counters())),
+        ("gauges", scalars(sink.gauges())),
+        (
+            "histograms",
+            Json::obj(
+                sink.histograms()
+                    .iter()
+                    .map(|(k, h)| (k.as_str(), histogram_json(h))),
+            ),
+        ),
+        ("spans", sink.spans().len().into()),
+        ("instants", Json::Arr(instants.collect())),
+    ]);
+    doc.render(Layout::Outline) + "\n"
 }
 
 #[cfg(test)]
@@ -524,6 +522,84 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, whole);
+    }
+
+    #[test]
+    fn histogram_min_is_exact() {
+        let mut h = Histogram::new();
+        h.record(7);
+        assert_eq!((h.min(), h.max(), h.sum()), (7, 7, 7));
+        h.record(12);
+        h.record(5);
+        assert_eq!((h.min(), h.max()), (5, 12));
+        // 0 is a sample like any other, not an "unset" marker.
+        h.record(0);
+        assert_eq!(h.min(), 0);
+    }
+
+    #[test]
+    fn histogram_empty_min_is_zero() {
+        let h = Histogram::new();
+        assert_eq!((h.count(), h.min(), h.max(), h.sum()), (0, 0, 0, 0));
+        assert_eq!(h.mean(), None);
+        assert_eq!(h.quantile_bound(0.99), None);
+        assert_eq!(h.buckets().count(), 0);
+    }
+
+    #[test]
+    fn histogram_merge_keeps_exact_min() {
+        let mut a = Histogram::new();
+        a.record(5);
+        a.record(15);
+        let mut b = Histogram::new();
+        b.record(9);
+        b.record(99);
+        a.merge(&b);
+        assert_eq!((a.count(), a.min(), a.max()), (4, 5, 99));
+        // Merging into an empty histogram takes the other's min (not the
+        // empty one's 0); merging an empty one changes nothing.
+        let mut empty = Histogram::new();
+        empty.merge(&b);
+        assert_eq!(empty, b);
+        let before = a.clone();
+        a.merge(&Histogram::new());
+        assert_eq!(a, before);
+    }
+
+    #[test]
+    fn histogram_saturates_at_u64_max() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(u64::MAX);
+        assert_eq!(h.sum(), u64::MAX, "sum saturates instead of wrapping");
+        assert_eq!((h.min(), h.max()), (u64::MAX, u64::MAX));
+        assert_eq!(h.buckets().collect::<Vec<_>>(), [(64, 2)]);
+        assert_eq!(h.quantile_bound(0.99), Some(u64::MAX));
+    }
+
+    #[test]
+    fn histogram_buckets_follow_the_bit_rule() {
+        let mut h = Histogram::new();
+        for v in [0, 1, 2, 3, 255, 256] {
+            h.record(v);
+        }
+        assert_eq!(
+            h.buckets().collect::<Vec<_>>(),
+            [(0, 1), (1, 1), (2, 2), (8, 1), (9, 1)]
+        );
+    }
+
+    #[test]
+    fn histogram_p99_bound_is_inclusive_and_clamped() {
+        let mut h = Histogram::new();
+        for _ in 0..99 {
+            h.record(8); // bucket [8, 15]
+        }
+        h.record(1000); // bucket [512, 1023]
+        assert_eq!(h.quantile_bound(0.5), Some(15));
+        assert_eq!(h.quantile_bound(0.99), Some(15));
+        // The top bucket's bound clamps to the exact max.
+        assert_eq!(h.quantile_bound(1.0), Some(1000));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The latency-sensitive core model (CVA6 running *Susan*).
 
 use axi4::{Addr, ArBeat, AwBeat, BurstKind, BurstLen, BurstSize, TxnId, WBeat};
-use axi_sim::{AxiBundle, Component, Cycle, TickCtx};
-
-use crate::stats::{LatencyHistogram, LatencyStats};
+use axi_sim::{AxiBundle, Component, Cycle, Histogram, TickCtx};
 
 /// Workload parameters of a [`CoreModel`].
 ///
@@ -66,7 +64,7 @@ enum State {
 /// Execution time and per-access latency are the two measurements every
 /// figure is built from: *performance* is the ratio of single-source to
 /// contended execution time, *worst-case memory access latency* is
-/// [`LatencyStats::max`] over the run.
+/// [`Histogram::max`] over the run.
 #[derive(Debug)]
 pub struct CoreModel {
     workload: CoreWorkload,
@@ -74,8 +72,7 @@ pub struct CoreModel {
     state: State,
     issued_accesses: u64,
     completed_accesses: u64,
-    latency: LatencyStats,
-    histogram: LatencyHistogram,
+    latency: Histogram,
     finished_at: Option<Cycle>,
     name: String,
 }
@@ -89,8 +86,7 @@ impl CoreModel {
             state: State::Compute { until: 0 },
             issued_accesses: 0,
             completed_accesses: 0,
-            latency: LatencyStats::new(),
-            histogram: LatencyHistogram::new(),
+            latency: Histogram::new(),
             finished_at: None,
             name: "core".to_owned(),
         }
@@ -106,14 +102,10 @@ impl CoreModel {
         self.port
     }
 
-    /// Per-access latency aggregate.
-    pub fn latency(&self) -> LatencyStats {
-        self.latency
-    }
-
-    /// Per-access latency histogram (power-of-two buckets).
-    pub fn latency_histogram(&self) -> LatencyHistogram {
-        self.histogram
+    /// Per-access latencies: exact count, sum, min and max, plus
+    /// power-of-two buckets.
+    pub fn latency(&self) -> &Histogram {
+        &self.latency
     }
 
     /// Accesses completed so far.
@@ -173,7 +165,6 @@ impl CoreModel {
 
     fn complete(&mut self, issued: Cycle, cycle: Cycle) -> State {
         self.latency.record(cycle - issued);
-        self.histogram.record(cycle - issued);
         self.completed_accesses += 1;
         State::Compute {
             until: cycle + self.workload.compute_cycles,
@@ -342,7 +333,7 @@ mod tests {
         let lat = sim.component::<CoreModel>(core).unwrap().latency();
         // Direct connection: every access completes within the paper's
         // eight-cycle single-source envelope.
-        assert!(lat.max().unwrap() <= 8, "max latency {:?}", lat.max());
+        assert!(lat.max() <= 8, "max latency {}", lat.max());
         assert_eq!(lat.min(), lat.max(), "no contention, constant latency");
     }
 

@@ -20,8 +20,9 @@
 //! protocol-legal script for the [`ScriptedManager`], and [`shrink`] reduces
 //! a failing script to a minimal reproducer by greedy delta debugging.
 //!
-//! All generators are deterministic; [`LatencyStats`] aggregates per-access
-//! latency for the paper's worst-case numbers.
+//! All generators are deterministic; the core and replay models record
+//! per-access latency into an [`axi_sim::Histogram`] for the paper's
+//! worst-case numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,6 @@ mod random;
 mod replay;
 mod script;
 mod stall;
-mod stats;
 
 pub use core_model::{CoreModel, CoreWorkload};
 pub use dma::{DmaConfig, DmaModel};
@@ -42,4 +42,3 @@ pub use random::{RandomConfig, RandomManager};
 pub use replay::{ParseTraceError, Trace, TraceManager, TraceRecord};
 pub use script::{Completion, CompletionKind, Op, ScriptedManager};
 pub use stall::{StallPlan, StallingManager};
-pub use stats::{LatencyHistogram, LatencyStats};

@@ -18,9 +18,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use axi4::{Addr, ArBeat, AwBeat, BurstKind, BurstLen, BurstSize, TxnId, WBeat};
-use axi_sim::{AxiBundle, Component, Cycle, TickCtx};
-
-use crate::stats::LatencyStats;
+use axi_sim::{AxiBundle, Component, Cycle, Histogram, TickCtx};
 
 /// One recorded access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -202,7 +200,7 @@ pub struct TraceManager {
     id: TxnId,
     state: State,
     issued_at: Cycle,
-    latency: LatencyStats,
+    latency: Histogram,
     completed: u64,
     finished_at: Option<Cycle>,
     name: String,
@@ -218,7 +216,7 @@ impl TraceManager {
             id,
             state: State::Waiting,
             issued_at: 0,
-            latency: LatencyStats::new(),
+            latency: Histogram::new(),
             completed: 0,
             finished_at: None,
             name: "replay".to_owned(),
@@ -231,8 +229,8 @@ impl TraceManager {
     }
 
     /// Per-access latency statistics.
-    pub fn latency(&self) -> LatencyStats {
-        self.latency
+    pub fn latency(&self) -> &Histogram {
+        &self.latency
     }
 
     /// `true` once the whole trace has replayed.
@@ -411,7 +409,7 @@ mod tests {
             .is_done()));
         let m = sim.component::<TraceManager>(mgr).unwrap();
         assert_eq!(m.completed(), 2);
-        assert!(m.latency().max().unwrap() < 50);
+        assert!(m.latency().max() < 50);
         // The read issued no earlier than cycle 500.
         assert!(sim.cycle() >= 500);
     }
