@@ -45,12 +45,11 @@ const BUCKETS: usize = 65;
 /// use realm_telemetry::Histogram;
 ///
 /// let mut h = Histogram::new();
-/// for v in [8, 12, 300] {
-///     h.record(v);
-/// }
-/// assert_eq!((h.count(), h.min(), h.max()), (3, 8, 300));
-/// assert_eq!(h.buckets().collect::<Vec<_>>(), [(4, 2), (9, 1)]);
-/// assert_eq!(h.quantile_bound(0.5), Some(15));
+/// h.record(8);
+/// h.record(12);
+/// assert_eq!((h.count(), h.min(), h.max()), (2, 8, 12));
+/// assert_eq!(h.mean(), Some(10.0));
+/// assert_eq!(h.quantile_bound(0.5), Some(12));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
@@ -162,6 +161,17 @@ impl Histogram {
 
     /// Iterates `(bucket_index, count)` pairs of the non-empty buckets in
     /// ascending bucket order.
+    ///
+    /// ```
+    /// use realm_telemetry::Histogram;
+    ///
+    /// let mut h = Histogram::new();
+    /// for v in [0, 1, 6, 7, 300] {
+    ///     h.record(v);
+    /// }
+    /// // 0 | [1, 1] | [4, 7] | [256, 511]
+    /// assert_eq!(h.buckets().collect::<Vec<_>>(), [(0, 1), (1, 1), (3, 2), (9, 1)]);
+    /// ```
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         (0u32..)
             .zip(&self.buckets)
