@@ -127,14 +127,6 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// The mode's `REALM_KERNEL` value.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Step => "step",
-            KernelMode::Arena => "arena",
-        }
-    }
-
     /// Parses a `REALM_KERNEL` value.
     ///
     /// # Errors
@@ -1861,9 +1853,6 @@ mod tests {
     fn kernel_mode_parse_rejects_unknown_values() {
         assert_eq!(KernelMode::parse("step"), Ok(KernelMode::Step));
         assert_eq!(KernelMode::parse("arena"), Ok(KernelMode::Arena));
-        for mode in [KernelMode::Step, KernelMode::Arena] {
-            assert_eq!(KernelMode::parse(mode.name()), Ok(mode));
-        }
         let err = KernelMode::parse("arnea").unwrap_err();
         assert!(err.contains("REALM_KERNEL"), "{err}");
         assert!(err.contains("\"arnea\""), "{err}");

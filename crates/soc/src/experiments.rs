@@ -122,6 +122,7 @@ mod tests {
     #[test]
     fn single_source_latency_envelope() {
         let r = single_source(N);
+        assert_eq!(r.core_latency.count(), N);
         assert!(r.core_latency.max() <= 10, "{:?}", r.core_latency);
     }
 
@@ -141,6 +142,7 @@ mod tests {
             "frag=1 must recover most performance, got {frag1_pct:.1}%"
         );
         assert!(worst.core_latency.max() >= 256);
+        assert_eq!(frag1.core_latency.count(), N);
         assert!(
             frag1.core_latency.max() < 40,
             "frag=1 worst-case latency {:?}",

@@ -17,6 +17,7 @@
 //! let mut tb = Testbench::new(TestbenchConfig::single_source(200));
 //! assert!(tb.run_until_core_done(1_000_000));
 //! let result = tb.result();
+//! assert_eq!(result.core_latency.count(), 200);
 //! assert!(result.core_latency.max() <= 10);
 //! ```
 

@@ -609,6 +609,7 @@ mod tests {
         assert!(tb.run_until_core_done(100_000));
         let r = tb.result();
         assert_eq!(r.core_accesses, 100);
+        assert_eq!(r.core_latency.count(), 100);
         assert!(r.core_latency.max() <= 10);
         assert_eq!(r.dma_bytes, 0);
         assert!(tb.dma().is_none());

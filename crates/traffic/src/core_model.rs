@@ -333,6 +333,7 @@ mod tests {
         let lat = sim.component::<CoreModel>(core).unwrap().latency();
         // Direct connection: every access completes within the paper's
         // eight-cycle single-source envelope.
+        assert_eq!(lat.count(), 200, "every access records its latency");
         assert!(lat.max() <= 8, "max latency {}", lat.max());
         assert_eq!(lat.min(), lat.max(), "no contention, constant latency");
     }

@@ -409,6 +409,7 @@ mod tests {
             .is_done()));
         let m = sim.component::<TraceManager>(mgr).unwrap();
         assert_eq!(m.completed(), 2);
+        assert_eq!(m.latency().count(), 2);
         assert!(m.latency().max() < 50);
         // The read issued no earlier than cycle 500.
         assert!(sim.cycle() >= 500);

@@ -187,6 +187,7 @@ fn single_source_latency_through_crossbar() {
         .unwrap()
         .is_done()));
     let lat = sim.component::<CoreModel>(core).unwrap().latency();
+    assert_eq!(lat.count(), 100, "every access records its latency");
     assert!(
         lat.max() <= 10,
         "single-source latency through the crossbar, max={}",

@@ -18,6 +18,7 @@ fn headline_chain_collapse_and_recovery() {
 
     // Single-source envelope: the paper's "at most eight cycles" (our
     // kernel pays one extra hop per direction through the REALM unit).
+    assert_eq!(base.core_latency.count(), N);
     assert!(
         base.core_latency.max() <= 10,
         "single-source latency {:?}",

@@ -66,6 +66,7 @@ fn everything_at_once() {
     // Core integrity.
     let r = tb.result();
     assert_eq!(r.core_accesses, 2_000);
+    assert_eq!(r.core_latency.count(), 2_000);
     assert!(r.core_latency.max() < 200, "{:?}", r.core_latency);
 
     // Staller contained: never completed, W channel not reserved-idle.
